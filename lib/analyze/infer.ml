@@ -320,6 +320,13 @@ type ctx = { catalog : Catalog.t option; ctes : (string * props list) list }
 
 let no_ctx = { catalog = None; ctes = [] }
 
+(* Row-count bound arithmetic on non-negative bounds: [None] (no bound)
+   where the exact result would overflow. *)
+let card_mul a b =
+  if a = 0 || b = 0 then Some 0 else if a > max_int / b then None else Some (a * b)
+
+let card_add a b = if a > max_int - b then None else Some (a + b)
+
 let lookup env (c : Xtra.col) =
   match Imap.find_opt c.Xtra.id env with Some p -> p | None -> unknown_props
 
@@ -857,7 +864,17 @@ and infer_rel (cx : ctx) (outer : props Imap.t) (r : Xtra.rel) : rel_props =
         | Some 0 -> Some 0
         | _ -> (
             match (lp.card_max, rp.card_max) with
-            | Some a, Some b when a * b >= 0 -> Some (a * b)
+            | Some a, Some b -> (
+                match kind with
+                | Xtra.Inner | Xtra.Cross -> card_mul a b
+                (* a preserved row is emitted at least once, if unmatched
+                   then null-extended *)
+                | Xtra.Left_outer -> card_mul a (max b 1)
+                | Xtra.Right_outer -> card_mul (max a 1) b
+                (* matched pairs plus each side's unmatched rows *)
+                | Xtra.Full_outer ->
+                    Option.bind (card_mul a b) (fun m ->
+                        Option.bind (card_add m a) (card_add b)))
             | Some 0, _ when kind = Xtra.Inner || kind = Xtra.Cross -> Some 0
             | _, Some 0 when kind = Xtra.Inner || kind = Xtra.Cross -> Some 0
             | _ -> None)
@@ -978,7 +995,7 @@ and infer_rel (cx : ctx) (outer : props Imap.t) (r : Xtra.rel) : rel_props =
         match op with
         | Xtra.Union -> (
             match (lp.card_max, rp.card_max) with
-            | Some a, Some b -> Some (a + b)
+            | Some a, Some b -> card_add a b
             | _ -> None)
         | Xtra.Intersect | Xtra.Except -> lp.card_max
       in

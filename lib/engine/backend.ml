@@ -90,12 +90,23 @@ let coerce_row t table (positions : int option array) width (row : Executor.row)
   ignore t;
   out
 
+(* Run a relation on the session's executor, as [Query] does: the
+   vectorized path (with the session's morsel domains) in [Batch] mode, the
+   row interpreter in [Row] mode. DML sources go through here too. *)
+let run_rel t (rel : Xtra.rel) =
+  let ctx =
+    Executor.create_ctx ~session_user:t.session_user ~domains:t.exec_domains
+      t.storage
+  in
+  match t.exec_mode with
+  | Batch -> Batch_exec.exec_rows ctx rel
+  | Row -> Executor.exec ctx rel
+
 let exec_insert t ~target ~target_cols ~source =
   match Catalog.find_table t.catalog target with
   | None -> Sql_error.execution_error "table %s does not exist" target
   | Some table ->
-      let ctx = Executor.create_ctx ~session_user:t.session_user t.storage in
-      let src_rows = Executor.exec ctx source in
+      let src_rows = run_rel t source in
       let width = List.length table.Catalog.tbl_columns in
       (* positions.(i) = index in the source row feeding target column i *)
       let positions =
@@ -121,18 +132,125 @@ let exec_insert t ~target ~target_cols ~source =
 let table_frame (schema : Xtra.schema) =
   { Executor.index = Executor.make_index schema; row = [||] }
 
+(* Evaluate [e] with a target row and a FROM row in scope. *)
+let eval_pair ctx tframe fframe trow frow e =
+  tframe.Executor.row <- trow;
+  fframe.Executor.row <- frow;
+  Executor.push_frame ctx tframe;
+  Executor.push_frame ctx fframe;
+  let v = Executor.eval ctx e in
+  Executor.pop_frame ctx;
+  Executor.pop_frame ctx;
+  v
+
+(* A key expression as a function of one row of [index]'s schema: a column
+   reads its slot, anything else runs the row interpreter in that row's
+   frame alone. *)
+let row_key ctx index (e : Xtra.scalar) : Executor.row -> Value.t =
+  match e with
+  | Xtra.Col_ref c when Hashtbl.mem index c.Xtra.id ->
+      let pos = Hashtbl.find index c.Xtra.id in
+      fun row -> row.(pos)
+  | _ ->
+      let frame = { Executor.index; row = [||] } in
+      fun row ->
+        frame.Executor.row <- row;
+        Executor.push_frame ctx frame;
+        let v = Executor.eval ctx e in
+        Executor.pop_frame ctx;
+        v
+
+(* The one matcher behind UPDATE and DELETE (and so MERGE): calls
+   [on_match i frow] for every pair of target row [targets.(i)] and FROM
+   row [frow] that satisfies [pred]. The predicate's equalities between a
+   target and a FROM expression ({!Executor.split_equi}, each side reading
+   its own columns) key a hash table built on the target rows; the FROM
+   rows stream past it, and the full predicate runs only on each FROM
+   row's hash candidates. NULL keys match nothing, as SQL equality
+   demands. With no such equality every target row is a candidate for
+   every FROM row: one bucket, which is the nested loop. With no FROM
+   clause there is one empty FROM row, so an equality with a constant
+   side ([T.K = 5]) looks the matching target rows up, and without one
+   the match is a plain filter over the target. *)
+let match_rows ctx ~(schema : Xtra.schema) (targets : Executor.row array)
+    ~(from_schema : Xtra.schema) (from_rows : Executor.row list) pred
+    on_match =
+  let ids = List.map (fun (c : Xtra.col) -> c.Xtra.id) in
+  let equi =
+    match pred with
+    | None -> []
+    | Some p ->
+        Executor.split_conjuncts p
+        |> Executor.split_equi ~lids:(ids schema) ~rids:(ids from_schema)
+        |> fst
+  in
+  let tframe = table_frame schema and fframe = table_frame from_schema in
+  let holds trow frow =
+    match pred with
+    | None -> true
+    | Some p -> (
+        match eval_pair ctx tframe fframe trow frow p with
+        | Value.Bool b -> b
+        | Value.Null -> false
+        | v ->
+            Sql_error.execution_error "bad predicate value %s"
+              (Value.to_string v))
+  in
+  let try_pair i frow = if holds targets.(i) frow then on_match i frow in
+  let probe =
+    if equi = [] then fun frow ->
+      Array.iteri (fun i _ -> try_pair i frow) targets
+    else begin
+      let keys index side =
+        Array.of_list (List.map (fun eq -> row_key ctx index (side eq)) equi)
+      in
+      let tkeys = keys tframe.Executor.index fst in
+      let fkeys = keys fframe.Executor.index snd in
+      (* [None] for a key holding a NULL *)
+      let key_of fs row =
+        let key = Array.map (fun f -> f row) fs in
+        if Array.exists Value.is_null key then None else Some key
+      in
+      let chains = Hash_table.create_chains () in
+      Array.iteri
+        (fun i trow ->
+          Option.iter (fun key -> Hash_table.add_item chains key i) (key_of tkeys trow))
+        targets;
+      fun frow ->
+        Option.iter
+          (fun key ->
+            let i = ref (Hash_table.first_item chains key) in
+            while !i >= 0 do
+              try_pair !i frow;
+              i := Hash_table.next_item chains !i
+            done)
+          (key_of fkeys frow)
+    end
+  in
+  List.iter probe from_rows
+
+(* The FROM relation's rows and schema; a plain UPDATE/DELETE has one
+   empty FROM row. *)
+let from_side t = function
+  | Some rel -> (run_rel t rel, Xtra.schema_of rel)
+  | None -> ([ [||] ], [])
+
 let exec_update t ~target ~assignments ~extra_from ~pred ~(schema : Xtra.schema) =
   match Catalog.find_table t.catalog target with
   | None -> Sql_error.execution_error "table %s does not exist" target
   | Some table ->
       let ctx = Executor.create_ctx ~session_user:t.session_user t.storage in
-      let from_rows, from_schema =
-        match extra_from with
-        | Some rel -> (Executor.exec ctx rel, Xtra.schema_of rel)
-        | None -> ([ [||] ], [])
-      in
-      let tframe = table_frame schema in
-      let fframe = table_frame from_schema in
+      let from_rows, from_schema = from_side t extra_from in
+      let targets = Storage.scan_array t.storage target in
+      (* the FROM row each target row is updated from; like Teradata, a
+         target row matched twice is an error, so the result never depends
+         on the order the FROM rows come in *)
+      let source = Array.make (Array.length targets) None in
+      match_rows ctx ~schema targets ~from_schema from_rows pred (fun i frow ->
+          if Option.is_some source.(i) then
+            Sql_error.execution_error
+              "7547 Target row updated by multiple source rows.";
+          source.(i) <- Some frow);
       let cols = Array.of_list table.Catalog.tbl_columns in
       let col_pos name =
         let rec go i = function
@@ -144,54 +262,26 @@ let exec_update t ~target ~assignments ~extra_from ~pred ~(schema : Xtra.schema)
         in
         go 0 table.Catalog.tbl_columns
       in
+      let assignments = List.map (fun (name, e) -> (col_pos name, e)) assignments in
+      let tframe = table_frame schema and fframe = table_frame from_schema in
       let updated = ref 0 in
       let rows =
-        List.map
-          (fun row ->
-            tframe.Executor.row <- row;
-            Executor.push_frame ctx tframe;
-            (* first matching FROM row wins (Teradata raises on multiple
-               matches; we take the first deterministically) *)
-            let matching =
-              List.find_opt
-                (fun frow ->
-                  fframe.Executor.row <- frow;
-                  Executor.push_frame ctx fframe;
-                  let ok =
-                    match pred with
-                    | None -> true
-                    | Some p -> (
-                        match Executor.eval ctx p with
-                        | Value.Bool b -> b
-                        | Value.Null -> false
-                        | v ->
-                            Sql_error.execution_error "bad predicate value %s"
-                              (Value.to_string v))
-                  in
-                  Executor.pop_frame ctx;
-                  ok)
-                from_rows
-            in
-            let out =
-              match matching with
-              | None -> row
-              | Some frow ->
-                  incr updated;
-                  fframe.Executor.row <- frow;
-                  Executor.push_frame ctx fframe;
-                  let row' = Array.copy row in
-                  List.iter
-                    (fun (name, e) ->
-                      let i = col_pos name in
-                      row'.(i) <-
-                        Value.cast (Executor.eval ctx e) cols.(i).Catalog.col_type)
-                    assignments;
-                  Executor.pop_frame ctx;
-                  row'
-            in
-            Executor.pop_frame ctx;
-            out)
-          (Storage.scan t.storage target)
+        Array.mapi
+          (fun i row ->
+            match source.(i) with
+            | None -> row
+            | Some frow ->
+                incr updated;
+                let row' = Array.copy row in
+                List.iter
+                  (fun (pos, e) ->
+                    row'.(pos) <-
+                      Value.cast
+                        (eval_pair ctx tframe fframe row frow e)
+                        cols.(pos).Catalog.col_type)
+                  assignments;
+                row')
+          targets
       in
       Storage.replace_rows t.storage target rows;
       dml_result "UPDATE" !updated
@@ -201,46 +291,17 @@ let exec_delete t ~target ~extra_from ~pred ~(schema : Xtra.schema) =
   | None -> Sql_error.execution_error "table %s does not exist" target
   | Some _ ->
       let ctx = Executor.create_ctx ~session_user:t.session_user t.storage in
-      let from_rows, from_schema =
-        match extra_from with
-        | Some rel -> (Executor.exec ctx rel, Xtra.schema_of rel)
-        | None -> ([ [||] ], [])
+      let from_rows, from_schema = from_side t extra_from in
+      let targets = Storage.scan_array t.storage target in
+      let doomed = Array.make (Array.length targets) false in
+      match_rows ctx ~schema targets ~from_schema from_rows pred (fun i _ ->
+          doomed.(i) <- true);
+      let kept =
+        Array.of_list
+          (List.filteri (fun i _ -> not doomed.(i)) (Array.to_list targets))
       in
-      let tframe = table_frame schema in
-      let fframe = table_frame from_schema in
-      let deleted = ref 0 in
-      let rows =
-        List.filter
-          (fun row ->
-            tframe.Executor.row <- row;
-            Executor.push_frame ctx tframe;
-            let matches =
-              List.exists
-                (fun frow ->
-                  fframe.Executor.row <- frow;
-                  Executor.push_frame ctx fframe;
-                  let ok =
-                    match pred with
-                    | None -> true
-                    | Some p -> (
-                        match Executor.eval ctx p with
-                        | Value.Bool b -> b
-                        | Value.Null -> false
-                        | v ->
-                            Sql_error.execution_error "bad predicate value %s"
-                              (Value.to_string v))
-                  in
-                  Executor.pop_frame ctx;
-                  ok)
-                from_rows
-            in
-            Executor.pop_frame ctx;
-            if matches then incr deleted;
-            not matches)
-          (Storage.scan t.storage target)
-      in
-      Storage.replace_rows t.storage target rows;
-      dml_result "DELETE" !deleted
+      Storage.replace_rows t.storage target kept;
+      dml_result "DELETE" (Array.length targets - Array.length kept)
 
 let rec exec_statement t (st : Xtra.statement) : result =
   t.queries_executed <- t.queries_executed + 1;
@@ -250,17 +311,7 @@ let rec exec_statement t (st : Xtra.statement) : result =
      | Xtra.Query rel -> prerr_endline (Hyperq_xtra.Xtra_pp.rel_to_string rel)
      | _ -> ());
   match st with
-  | Xtra.Query rel ->
-      let ctx =
-        Executor.create_ctx ~session_user:t.session_user
-          ~domains:t.exec_domains t.storage
-      in
-      let rows =
-        match t.exec_mode with
-        | Batch -> Batch_exec.exec_rows ctx rel
-        | Row -> Executor.exec ctx rel
-      in
-      query_result (Xtra.schema_of rel) rows
+  | Xtra.Query rel -> query_result (Xtra.schema_of rel) (run_rel t rel)
   | Xtra.Insert { target; target_cols; source } ->
       exec_insert t ~target ~target_cols ~source
   | Xtra.Update { target; assignments; extra_from; upd_pred; upd_schema; _ } ->

@@ -14,13 +14,16 @@ type t = {
   mutable session_user : string;
   mutable queries_executed : int;
   mutable exec_mode : exec_mode;
-      (** which executor runs [Query] statements; DML always uses the row
-          path. Defaults to [Batch] unless [HYPERQ_EXEC_MODE=row] is set. *)
+      (** which executor runs [Query] statements and the sources of DML
+          (the [INSERT … SELECT] source, the FROM relation of [UPDATE/DELETE
+          … FROM]). Defaults to [Batch] unless [HYPERQ_EXEC_MODE=row] is
+          set. *)
   mutable exec_domains : int;
       (** intra-statement parallelism budget for the vectorized executor
           (morsel-driven execution on OCaml domains). Defaults to
           {!Morsel.configured_domains} ([HYPERQ_EXEC_DOMAINS], 1 = fully
-          sequential); only the [Batch] path uses it. *)
+          sequential); only the [Batch] path uses it, DML sources
+          included. *)
 }
 
 and exec_mode = Row | Batch  (** row interpreter vs vectorized executor *)
@@ -35,7 +38,9 @@ type result = {
 val create : unit -> t
 
 (** Execute an already-bound XTRA statement (the engine applies its own
-    optimizer pass first). *)
+    optimizer pass first). [UPDATE] and [DELETE] match target rows to FROM
+    rows set-based (hash on the target, FROM rows streamed); a target row
+    matched by two FROM rows in an [UPDATE] raises Teradata's 7547. *)
 val exec_statement : t -> Hyperq_xtra.Xtra.statement -> result
 
 (** Execute one SQL statement in the engine's own (ANSI) dialect: the full

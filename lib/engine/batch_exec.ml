@@ -1481,13 +1481,13 @@ and compile_get ctx (r : Xtra.rel) ?unbox () : op =
       let width = List.length table_schema in
       let arr =
         lazy
-          (let rows = Storage.scan ctx.Executor.storage table in
-           List.iter
+          (let rows = Storage.scan_array ctx.Executor.storage table in
+           Array.iter
              (fun (row : Executor.row) ->
                if Array.length row <> width then
                  Sql_error.internal_error "width mismatch scanning %s" table)
              rows;
-           Array.of_list rows)
+           rows)
       in
       let pos = ref 0 in
       let seq_next () =
@@ -1593,7 +1593,8 @@ and compile_filter ctx iop pred : op =
   | _ -> { schema = iop.schema; next = seq_next; par = None }
 
 (* Equi-hash-join on the radix-partitioned table. Build drains the right
-   side into a row store plus per-entry duplicate chains ([heads]/[nexts]);
+   side into a row store plus per-key duplicate chains
+   ([Hash_table.chains]);
    probe streams left batches, hashing each key row once. NULL keys never
    enter the table on either side — SQL equality can never match them — and
    the table itself (join mode) asserts none slip through. Joins the batch
@@ -1605,22 +1606,7 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
   let conjuncts =
     match pred with Some p -> Executor.split_conjuncts p | None -> []
   in
-  let subset ids of_ids = List.for_all (fun i -> List.mem i of_ids) ids in
-  let equi, residual =
-    List.partition_map
-      (fun c ->
-        match c with
-        | Xtra.Cmp (Xtra.Eq, a, b)
-          when subset (Executor.scalar_col_ids a) lids
-               && subset (Executor.scalar_col_ids b) rids ->
-            Left (a, b)
-        | Xtra.Cmp (Xtra.Eq, a, b)
-          when subset (Executor.scalar_col_ids b) lids
-               && subset (Executor.scalar_col_ids a) rids ->
-            Left (b, a)
-        | c -> Right c)
-      conjuncts
-  in
+  let equi, residual = Executor.split_equi ~lids ~rids conjuncts in
   let vectorizable =
     (match kind with Xtra.Cross -> false | _ -> true) && equi <> []
   in
@@ -1674,10 +1660,8 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
     let keep_right =
       kind = Xtra.Right_outer || kind = Xtra.Full_outer
     in
-    let ht = Hash_table.create ~null_equal:false 1024 in
+    let chains = Hash_table.create_chains () in
     let rrows : Executor.row Vec.t = Vec.create [||] in
-    let nexts = Vec.create (-1) in
-    let heads = Vec.create (-1) in
     let matched = ref [||] in
     let built = ref false in
     let build () =
@@ -1687,19 +1671,10 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
         | Some rb ->
             Batch.iter
               (fun i ->
-                let row = Batch.to_row rb i in
-                let ri = Vec.push rrows row in
-                ignore (Vec.push nexts (-1));
+                let ri = Vec.push rrows (Batch.to_row rb i) in
                 let key = Array.map (fun f -> f rb i) rkey_fs in
-                if not (Array.exists Value.is_null key) then begin
-                  let h = Hash_table.hash_key key in
-                  let e, inserted = Hash_table.find_or_insert ht key h in
-                  if inserted then ignore (Vec.push heads ri)
-                  else begin
-                    Vec.set nexts ri (Vec.get heads e);
-                    Vec.set heads e ri
-                  end
-                end)
+                if not (Array.exists Value.is_null key) then
+                  Hash_table.add_item chains key ri)
               rb;
             go ()
       in
@@ -1717,18 +1692,18 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
       Batch.iter
         (fun i ->
           let key = Array.map (fun f -> f lb i) lkey_fs in
-          let e =
+          let first =
             if Array.exists Value.is_null key then -1
-            else Hash_table.find ht key (Hash_table.hash_key key)
+            else Hash_table.first_item chains key
           in
-          if e < 0 then begin
+          if first < 0 then begin
             if keep_left then
               ignore (Vec.push buf (Array.append (Batch.to_row lb i) null_right))
           end
           else begin
             let lrow = Batch.to_row lb i in
             let any = ref false in
-            let j = ref (Vec.get heads e) in
+            let j = ref first in
             while !j >= 0 do
               let rrow = Vec.get rrows !j in
               if residual_ok lrow rrow then begin
@@ -1736,7 +1711,7 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
                 if keep_right then !matched.(!j) <- true;
                 ignore (Vec.push buf (Array.append lrow rrow))
               end;
-              j := Vec.get nexts !j
+              j := Hash_table.next_item chains !j
             done;
             if (not !any) && keep_left then
               ignore (Vec.push buf (Array.append lrow null_right))

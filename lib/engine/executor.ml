@@ -873,6 +873,41 @@ and split_conjuncts = function
   | Xtra.Logic_and (a, b) -> split_conjuncts a @ split_conjuncts b
   | s -> [ s ]
 
+and has_subquery s =
+  let found = ref false in
+  ignore
+    (Xtra.map_scalar
+       (fun x ->
+         (match x with
+         | Xtra.Scalar_subquery _ | Xtra.Exists _ | Xtra.In_subquery _
+         | Xtra.Quantified _ ->
+             found := true
+         | _ -> ());
+         x)
+       s);
+  !found
+
+(* Split [conjuncts] into hashable equalities [(l, r)], [l] over the columns
+   [lids] only and [r] over [rids] only, and the residual conjuncts. The
+   row and batch joins and the DML matcher all key their hash tables on
+   this split. A key is evaluated with only its own side's row in scope,
+   and [scalar_col_ids] does not see the columns a subquery correlates on,
+   so an equality holding a subquery stays in the residual. *)
+and split_equi ~lids ~rids conjuncts =
+  let subset ids of_ids = List.for_all (fun i -> List.mem i of_ids) ids in
+  List.partition_map
+    (fun c ->
+      match c with
+      | Xtra.Cmp (Xtra.Eq, _, _) when has_subquery c -> Right c
+      | Xtra.Cmp (Xtra.Eq, a, b)
+        when subset (scalar_col_ids a) lids && subset (scalar_col_ids b) rids ->
+          Left (a, b)
+      | Xtra.Cmp (Xtra.Eq, a, b)
+        when subset (scalar_col_ids b) lids && subset (scalar_col_ids a) rids ->
+          Left (b, a)
+      | c -> Right c)
+    conjuncts
+
 and exec_join ctx kind left right pred =
   let lschema = Xtra.schema_of left and rschema = Xtra.schema_of right in
   let lids = List.map (fun (c : Xtra.col) -> c.Xtra.id) lschema in
@@ -884,20 +919,7 @@ and exec_join ctx kind left right pred =
   let null_left = Array.make lwidth Value.Null in
   (* split the predicate into hashable equi-conjuncts and a residual *)
   let conjuncts = match pred with Some p -> split_conjuncts p | None -> [] in
-  let subset ids of_ids = List.for_all (fun i -> List.mem i of_ids) ids in
-  let equi, residual =
-    List.partition_map
-      (fun c ->
-        match c with
-        | Xtra.Cmp (Xtra.Eq, a, b)
-          when subset (scalar_col_ids a) lids && subset (scalar_col_ids b) rids ->
-            Left (a, b)
-        | Xtra.Cmp (Xtra.Eq, a, b)
-          when subset (scalar_col_ids b) lids && subset (scalar_col_ids a) rids ->
-            Left (b, a)
-        | c -> Right c)
-      conjuncts
-  in
+  let equi, residual = split_equi ~lids ~rids conjuncts in
   let lframe = { index = lindex; row = [||] } in
   let rframe = { index = rindex; row = [||] } in
   let eval_with2 lrow rrow e =
@@ -1028,11 +1050,12 @@ and exec ctx (r : Xtra.rel) : row list =
   | Xtra.Get { table; table_schema; _ } ->
       let rows = Storage.scan ctx.storage table in
       let width = List.length table_schema in
-      List.map
+      List.iter
         (fun row ->
-          if Array.length row = width then row
-          else Sql_error.internal_error "width mismatch scanning %s" table)
-        rows
+          if Array.length row <> width then
+            Sql_error.internal_error "width mismatch scanning %s" table)
+        rows;
+      rows
   | Xtra.Values_rel { rows; _ } ->
       List.map (fun exprs -> Array.of_list (List.map (eval ctx) exprs)) rows
   | Xtra.Filter { input; pred } ->

@@ -172,3 +172,46 @@ let find t key h =
   let p = part_of t mixed in
   let _, e = probe t p key h mixed (tag_of mixed) in
   e
+
+(* --- equi-join build: one chain of items per distinct key ------------ *)
+
+(* A join-mode table whose entries each head a chain of the items (row
+   numbers) added under that key, newest first. The sequential hash join
+   and the DML matcher build on it. Callers never add an item whose key
+   holds a NULL: such a key can match nothing. *)
+type chains = {
+  table : t;
+  mutable heads : int array;  (** entry -> newest item under its key *)
+  mutable links : int array;  (** item -> next older item under the same key *)
+}
+
+let create_chains () =
+  {
+    table = create ~null_equal:false 0;
+    heads = Array.make 64 (-1);
+    links = Array.make 64 (-1);
+  }
+
+(* [a] with room for index [i]; new slots hold -1 *)
+let ensure_index a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) (-1) in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let add_item c key item =
+  let e, inserted = find_or_insert c.table key (hash_key key) in
+  c.links <- ensure_index c.links item;
+  if inserted then c.heads <- ensure_index c.heads e
+  else c.links.(item) <- c.heads.(e);
+  c.heads.(e) <- item
+
+(* The newest item added under [key], or -1; [next_item] walks the older
+   ones and returns -1 past the last. *)
+let first_item c key =
+  let e = find c.table key (hash_key key) in
+  if e < 0 then -1 else c.heads.(e)
+
+let next_item c item = c.links.(item)

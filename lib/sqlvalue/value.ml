@@ -353,23 +353,39 @@ let to_sql_literal = function
 
 let pp ppf v = Fmt.string ppf (to_string v)
 
-(** Structural hash compatible with [equal_group] for hash-based grouping:
-    numerically equal values of different representations hash alike. *)
+(* Numeric hashes agree wherever [compare_numeric] says equal: a float
+   equals an integer only through [Int64.to_float], so integers beyond
+   2^53 hash through their float image, and a fractional decimal is
+   compared with a float through [Decimal.to_float]. *)
+let hash_float f =
+  if Float.is_integer f && Float.abs f < 9e18 then
+    Int64.to_int (Int64.of_float f) land max_int
+  else Hashtbl.hash f
+
+let max_exact_int = 9_007_199_254_740_992L (* 2^53 *)
+
+let hash_int64 n =
+  if Int64.compare n (Int64.neg max_exact_int) >= 0
+     && Int64.compare n max_exact_int <= 0
+  then Int64.to_int n land max_int
+  else hash_float (Int64.to_float n)
+
+(** Structural hash compatible with [equal_group] (and so with [compare_sql]
+    equality) for hash-based grouping and joins: values that compare equal
+    hash alike across representations — INTEGER, DECIMAL and FLOAT; DATE
+    and TIMESTAMP. *)
 let hash v =
   match v with
   | Null -> 17
   | Bool b -> if b then 3 else 5
-  | Int n -> Int64.to_int n land max_int
-  | Float f ->
-      if Float.is_integer f && Float.abs f < 9e18 then
-        Int64.to_int (Int64.of_float f) land max_int
-      else Hashtbl.hash f
+  | Int n -> hash_int64 n
+  | Float f -> hash_float f
   | Decimal d ->
       let n = Decimal.normalize d in
-      if n.Decimal.scale = 0 then Int64.to_int n.Decimal.mantissa land max_int
-      else Hashtbl.hash (n.Decimal.mantissa, n.Decimal.scale)
+      if n.Decimal.scale = 0 then hash_int64 n.Decimal.mantissa
+      else hash_float (Decimal.to_float n)
   | Varchar s -> Hashtbl.hash s
-  | Date d -> Sql_date.to_epoch_days d
+  | Date d -> Int64.to_int (timestamp_of_date d) land max_int
   | Time t -> Int64.to_int t land max_int
   | Timestamp t -> Int64.to_int t land max_int
   | Interval _ | Period_date _ | Bytes _ -> Hashtbl.hash v

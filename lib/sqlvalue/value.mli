@@ -78,5 +78,6 @@ val to_sql_literal : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** Structural hash compatible with {!equal_group}. *)
+(** Structural hash compatible with {!equal_group}: values that compare
+    equal hash alike, across INTEGER/DECIMAL/FLOAT and DATE/TIMESTAMP. *)
 val hash : t -> int

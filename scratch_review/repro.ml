@@ -1,20 +1,6 @@
 module Pipeline = Hyperq_core.Pipeline
-module Infer = Hyperq_analyze.Infer
-module Xtra = Hyperq_xtra.Xtra
-open Hyperq_sqlvalue
-
-let col id name = { Xtra.id; name; ty = Dtype.Int }
 
 let () =
-  (* LEFT OUTER: left has 1 row, right has 0 rows -> real output 1 row *)
-  let left = Xtra.Values_rel { rows = [ [ Xtra.Const (Value.Int 1L) ] ]; values_schema = [ col 1 "a" ] } in
-  let right = Xtra.Values_rel { rows = []; values_schema = [ col 2 "b" ] } in
-  let j = Xtra.Join { kind = Xtra.Left_outer; left; right; pred = None } in
-  let rp = Infer.rel_props j in
-  (match rp.Infer.card_max with
-   | Some n -> Printf.printf "left-outer card_max = %d (real rows = 1)\n" n
-   | None -> print_endline "left-outer card_max = none");
-
   (* duplicate column names in pruned join schema *)
   let t = Pipeline.create () in
   ignore (Pipeline.run_sql t "CREATE TABLE a (id INTEGER)");

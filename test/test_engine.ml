@@ -354,6 +354,77 @@ let test_not_null_and_set_semantics () =
     (Storage.insert storage "S"
        [ [| Value.Int 1L |]; [| Value.Int 1L |]; [| Value.Int 2L |] ])
 
+(* Scans are copy-free: an unchanged table hands out the physically same
+   list and array, and every kind of write makes the next scan see the
+   current contents. *)
+let test_scan_copy_free () =
+  let be, run = fresh () in
+  let st = be.Backend.storage in
+  let l1 = Storage.scan st "NUMS" in
+  let a1 = Storage.scan_array st "NUMS" in
+  ignore (run "SELECT N FROM NUMS");
+  check bb "unchanged table: same list" true (Storage.scan st "NUMS" == l1);
+  check bb "unchanged table: same array" true (Storage.scan_array st "NUMS" == a1);
+  let ns name =
+    let l = Storage.scan st name in
+    check bb (name ^ ": array agrees with list") true
+      (List.for_all2 ( == ) l (Array.to_list (Storage.scan_array st name)));
+    List.map (fun (r : Value.t array) -> Value.to_string r.(0)) l
+  in
+  let sl = Alcotest.(list string) in
+  check sl "initial" [ "1"; "2"; "3"; "4"; "NULL" ] (ns "NUMS");
+  ignore (run "INSERT INTO NUMS (N, GRP, W) VALUES (5, 'd', 1.00)");
+  check sl "after INSERT" [ "1"; "2"; "3"; "4"; "NULL"; "5" ] (ns "NUMS");
+  ignore (run "UPDATE NUMS SET N = 6 WHERE N = 1");
+  check sl "after UPDATE" [ "6"; "2"; "3"; "4"; "NULL"; "5" ] (ns "NUMS");
+  ignore (run "DELETE FROM NUMS WHERE N = 2");
+  check sl "after DELETE" [ "6"; "3"; "4"; "NULL"; "5" ] (ns "NUMS");
+  ignore (run "BEGIN TRANSACTION");
+  ignore (run "INSERT INTO NUMS (N, GRP, W) VALUES (7, 'e', 1.00)");
+  ignore (run "DELETE FROM NUMS WHERE N = 3");
+  check sl "inside the transaction" [ "6"; "4"; "NULL"; "5"; "7" ] (ns "NUMS");
+  ignore (run "ROLLBACK");
+  check sl "after ROLLBACK" [ "6"; "3"; "4"; "NULL"; "5" ] (ns "NUMS");
+  ignore (run "ALTER TABLE NUMS RENAME TO NUMS2");
+  check sl "after RENAME" [ "6"; "3"; "4"; "NULL"; "5" ] (ns "NUMS2");
+  ignore (run "DROP TABLE NUMS2");
+  ignore (run "CREATE TABLE NUMS2 (N INTEGER)");
+  check sl "after DROP + CREATE" [] (ns "NUMS2");
+  ignore (run "INSERT INTO NUMS2 (N) VALUES (8)");
+  check sl "re-created table written" [ "8" ] (ns "NUMS2")
+
+(* The first scan after an INSERT folds the new rows in. Morsel workers on
+   several domains may make that first scan at the same moment: each must
+   see every row once, and the table must keep every row once. *)
+let test_concurrent_first_scans () =
+  let st = Storage.create () in
+  Storage.create_table st "T";
+  let domains = 4 and rows = 50_000 in
+  for round = 1 to 5 do
+    Storage.replace_rows st "T" [||];
+    for i = 1 to rows do
+      ignore (Storage.insert st "T" [ [| Value.Int (Int64.of_int i) |] ])
+    done;
+    let ready = Atomic.make 0 in
+    let scan () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      (Array.length (Storage.scan_array st "T"), List.length (Storage.scan st "T"))
+    in
+    let seen = List.map Domain.join (List.init domains (fun _ -> Domain.spawn scan)) in
+    List.iter
+      (fun (a, l) ->
+        check ib (Printf.sprintf "round %d: array length" round) rows a;
+        check ib (Printf.sprintf "round %d: list length" round) rows l)
+      seen;
+    check ib
+      (Printf.sprintf "round %d: table length" round)
+      rows
+      (Array.length (Storage.scan_array st "T"))
+  done
+
 let test_ddl_lifecycle () =
   let be = Backend.create () in
   let run sql = Backend.execute_sql be sql in
@@ -501,6 +572,8 @@ let prop_limit_is_prefix =
 let suite =
   [
     ("scan / filter / project", `Quick, test_scan_filter_project);
+    ("storage scans are copy-free", `Quick, test_scan_copy_free);
+    ("concurrent first scans", `Quick, test_concurrent_first_scans);
     ("NULL semantics", `Quick, test_null_semantics);
     ("aggregates", `Quick, test_aggregates);
     ("GROUP BY / HAVING", `Quick, test_group_by);

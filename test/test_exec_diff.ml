@@ -177,6 +177,282 @@ let test_null_group_keys_coalesce () =
   check ib "distinct coalesces nulls too" 3
     (rowcount_both be run "SELECT DISTINCT L.K FROM JL AS L")
 
+(* --- DML: set-based matching, row vs batch ------------------------------ *)
+
+(* ETL-shaped tables: SRC has ~2500 rows with (K, LN) unique and some NULL
+   keys, TGT a few hundred rows with duplicates and NULL keys, DK decimal
+   keys (some fractional, so they never equal an INTEGER), RNG disjoint
+   ranges for a join with no equality conjunct. *)
+let dml_setup =
+  let values rows = String.concat ", " rows in
+  [
+    "CREATE TABLE TGT (K INTEGER, LN INTEGER, V DECIMAL(12,2), S VARCHAR(5))";
+    "CREATE TABLE SRC (K INTEGER, LN INTEGER, V DECIMAL(12,2), FLAG VARCHAR(1))";
+    "CREATE TABLE DK (K DECIMAL(10,2), W INTEGER)";
+    "CREATE TABLE RNG (LO INTEGER, HI INTEGER, TAG VARCHAR(5))";
+    "INSERT INTO SRC (K, LN, V, FLAG) VALUES "
+    ^ values
+        (List.init 2500 (fun i ->
+             let k = i + 1 in
+             Printf.sprintf "(%s, %d, %d.25, '%s')"
+               (if k mod 97 = 0 then "NULL" else string_of_int (k mod 1200))
+               (k / 1200) (k mod 50)
+               (match k mod 3 with 0 -> "Y" | 1 -> "N" | _ -> "D")));
+    "INSERT INTO TGT (K, LN, V, S) VALUES "
+    ^ values
+        (List.init 600 (fun i ->
+             let k = i + 1 in
+             Printf.sprintf "(%s, %d, %d, 'orig')"
+               (if k mod 53 = 0 then "NULL" else string_of_int (k * 2 mod 1300))
+               (k mod 3) (k mod 20)));
+    "INSERT INTO DK (K, W) VALUES "
+    ^ values
+        (List.init 100 (fun i ->
+             Printf.sprintf "(%d.%s, %d)" (3 * i)
+               (if i mod 4 = 0 then "50" else "00")
+               (i + 7)));
+    "INSERT INTO RNG (LO, HI, TAG) VALUES (0, 99, 'A'), (200, 299, 'B'), \
+     (1000, 1100, 'C')";
+  ]
+
+let dml_statements =
+  [
+    (* INSERT ... SELECT *)
+    "INSERT INTO TGT (K, LN, V, S) SEL K, LN, V, 'I' FROM SRC WHERE FLAG = \
+     'Y' AND K < 300";
+    (* equality key plus a residual conjunct; NULL keys never match *)
+    "UPD TGT FROM SRC SET V = TGT.V + SRC.V, S = 'U' WHERE TGT.K = SRC.K AND \
+     TGT.LN = SRC.LN AND SRC.FLAG <> 'N'";
+    (* no equality conjunct: every target row is a candidate *)
+    "UPD TGT FROM RNG SET S = RNG.TAG WHERE TGT.K BETWEEN RNG.LO AND RNG.HI";
+    (* INTEGER target key against DECIMAL FROM keys *)
+    "UPD TGT FROM DK SET LN = DK.W WHERE TGT.K = DK.K";
+    (* MERGE, matched and unmatched *)
+    "MERGE INTO TGT AS T USING (SEL K, LN, V FROM SRC WHERE FLAG = 'D') S ON \
+     (T.K = S.K AND T.LN = S.LN) WHEN MATCHED THEN UPDATE SET V = T.V + S.V \
+     WHEN NOT MATCHED THEN INSERT (K, LN, V, S) VALUES (S.K, S.LN, S.V, 'M')";
+    (* DELETE ... FROM, then a plain DELETE *)
+    "DEL TGT FROM SRC WHERE TGT.K = SRC.K AND TGT.LN = SRC.LN AND SRC.FLAG = \
+     'Y' AND TGT.V > 20";
+    "DELETE FROM TGT WHERE V < 3";
+  ]
+
+(* Activity count (or error) of every statement, then TGT's rows in scan
+   order, on a fresh pipeline in [mode] at [domains]. *)
+let run_dml ?(domains = 1) mode =
+  let p = Pipeline.create () in
+  List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) dml_setup;
+  p.Pipeline.backend.Backend.exec_mode <- mode;
+  Pipeline.set_exec_domains p domains;
+  let counts =
+    List.map
+      (fun sql ->
+        match
+          Sql_error.protect (fun () -> (Pipeline.run_sql p sql).Pipeline.out_count)
+        with
+        | Ok n -> string_of_int n
+        | Error e -> Sql_error.to_string e)
+      dml_statements
+  in
+  let rows = lit (Pipeline.run_sql p "SEL * FROM TGT").Pipeline.out_rows in
+  let untouched_nulls =
+    (Pipeline.run_sql p
+       "SEL * FROM TGT WHERE K IS NULL AND S = 'orig'")
+      .Pipeline.out_count
+  in
+  (counts, rows, untouched_nulls)
+
+let test_dml_differential () =
+  let counts, rows, nulls = run_dml Backend.Row in
+  let sl = Alcotest.(list string) in
+  List.iter
+    (fun d ->
+      let bcounts, brows, bnulls = run_dml ~domains:d Backend.Batch in
+      let tag = Printf.sprintf "batch@%d" d in
+      check sl (tag ^ " activity counts = row") counts bcounts;
+      check ib (tag ^ " row count") (List.length rows) (List.length brows);
+      check bb (tag ^ " table multiset = row") true
+        (List.sort compare rows = List.sort compare brows);
+      check ib (tag ^ " NULL-keyed rows untouched") nulls bnulls;
+      if d > 1 then begin
+        let _, b1rows, _ = run_dml ~domains:1 Backend.Batch in
+        check bb (tag ^ " table order = batch@1") true (b1rows = brows)
+      end)
+    [ 1; 2; 4 ];
+  (* every statement did something, and none failed *)
+  List.iteri
+    (fun i c ->
+      check bb
+        (Printf.sprintf "statement %d affected rows (%s)" i c)
+        true
+        (match int_of_string_opt c with Some n -> n > 0 | None -> false))
+    counts;
+  (* TGT's 11 NULL-keyed rows all have V >= 3: no statement may touch them *)
+  check ib "NULL-keyed rows untouched" 11 nulls
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Teradata raises 7547 when one target row is matched by two source rows,
+   in UPDATE ... FROM and in MERGE's WHEN MATCHED UPDATE; the target is left
+   as it was. *)
+let test_dml_multi_match_raises () =
+  List.iter
+    (fun mode ->
+      let p = Pipeline.create () in
+      List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) dml_setup;
+      p.Pipeline.backend.Backend.exec_mode <- mode;
+      let before = lit (Pipeline.run_sql p "SEL * FROM TGT").Pipeline.out_rows in
+      List.iter
+        (fun sql ->
+          match Sql_error.protect (fun () -> Pipeline.run_sql p sql) with
+          | Ok o ->
+              Alcotest.failf "expected error 7547, got %d row(s): %s"
+                o.Pipeline.out_count sql
+          | Error e ->
+              check bb ("7547 text: " ^ e.Sql_error.message) true
+                (contains e.Sql_error.message
+                   "Target row updated by multiple source rows"))
+        [
+          (* SRC holds up to three rows per K (one per LN) *)
+          "UPD TGT FROM SRC SET V = SRC.V WHERE TGT.K = SRC.K";
+          "MERGE INTO TGT AS T USING (SEL K, V FROM SRC) S ON (T.K = S.K) \
+           WHEN MATCHED THEN UPDATE SET V = S.V";
+        ];
+      check bb "target unchanged" true
+        (lit (Pipeline.run_sql p "SEL * FROM TGT").Pipeline.out_rows = before))
+    [ Backend.Row; Backend.Batch ]
+
+(* Equality keys across representations: a DATE equals the TIMESTAMP at its
+   midnight, a fractional DECIMAL the FLOAT of the same value. The binder
+   casts neither side, so the hash matcher and the hash joins see the raw
+   values; [Value.hash] must agree with [=] for them. Expected activity
+   counts and rows, in Row mode and in Batch mode at 1/2/4 domains. *)
+let test_cross_type_keys () =
+  let setup =
+    [
+      "CREATE TABLE HD (D DATE, P DECIMAL(6,2), N INTEGER)";
+      "CREATE TABLE HS (TS TIMESTAMP(0), F FLOAT, M INTEGER)";
+      "INSERT INTO HD (D, P, N) VALUES (DATE '2020-01-02', 1.50, 0), \
+       (DATE '2020-01-03', 2.25, 0), (DATE '2020-01-04', 3.10, 0)";
+      "INSERT INTO HS (TS, F, M) VALUES (TIMESTAMP '2020-01-02 00:00:00', \
+       1.5, 7), (TIMESTAMP '2020-01-03 10:00:00', 2.25, 8), (TIMESTAMP \
+       '2020-01-04 00:00:00', 3.2, 9)";
+    ]
+  in
+  let statements =
+    [
+      ("UPD HD FROM HS SET N = HS.M WHERE HD.D = HS.TS", 2);
+      ("SEL HD.N, HS.M FROM HD JOIN HS ON HD.D = HS.TS", 2);
+      ("UPD HD FROM HS SET N = HS.M + 100 WHERE HD.P = HS.F", 2);
+      ("SEL HD.N, HS.M FROM HD JOIN HS ON HD.P = HS.F", 2);
+      ("DEL HD FROM HS WHERE HD.D = HS.TS AND HD.P = HS.F", 1);
+    ]
+  in
+  let run ?(domains = 1) mode =
+    let p = Pipeline.create () in
+    List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) setup;
+    p.Pipeline.backend.Backend.exec_mode <- mode;
+    Pipeline.set_exec_domains p domains;
+    let tag =
+      match mode with
+      | Backend.Row -> "row"
+      | Backend.Batch -> Printf.sprintf "batch@%d" domains
+    in
+    List.iter
+      (fun (sql, n) ->
+        check ib (tag ^ ": " ^ sql) n (Pipeline.run_sql p sql).Pipeline.out_count)
+      statements;
+    check
+      Alcotest.(list (list string))
+      (tag ^ ": HD after the DML")
+      [ [ "DATE '2020-01-03'"; "2.25"; "108" ]; [ "DATE '2020-01-04'"; "3.10"; "9" ] ]
+      (List.sort compare (lit (Pipeline.run_sql p "SEL * FROM HD").Pipeline.out_rows))
+  in
+  run Backend.Row;
+  List.iter (fun d -> run ~domains:d Backend.Batch) [ 1; 2; 4 ]
+
+(* A join equality whose one side is a subquery correlated on the same
+   input as the other side: as a hash key it would be evaluated with the
+   other input's row in scope, not the one it reads, so the split must
+   leave it in the residual. *)
+let test_join_key_with_correlated_subquery () =
+  let setup =
+    [
+      "CREATE TABLE JA (K INTEGER, X INTEGER)";
+      "CREATE TABLE JB (G INTEGER, Y INTEGER)";
+      "CREATE TABLE JC (G INTEGER, K INTEGER)";
+      "INSERT INTO JA (K, X) VALUES (1, 10), (2, 20), (3, 30), (4, 40)";
+      "INSERT INTO JB (G, Y) VALUES (1, 100), (2, 200), (3, 300)";
+      "INSERT INTO JC (G, K) VALUES (1, 1), (1, 2), (2, 3), (3, 4), (3, 1), (4, 4)";
+    ]
+  in
+  let p = Pipeline.create () in
+  List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) setup;
+  List.iter
+    (fun (sql, expected) ->
+      let want = Rows expected in
+      check bb ("row: " ^ sql) true (canon (run_mode p Backend.Row sql) = canon want);
+      List.iter
+        (fun d ->
+          check bb
+            (Printf.sprintf "batch@%d: %s" d sql)
+            true
+            (canon (run_mode p ~domains:d Backend.Batch sql) = canon want))
+        [ 1; 2 ])
+    [
+      ( "SEL A.X, B.Y FROM JA A JOIN JB B ON A.K = B.G AND A.K = (SEL \
+         MIN(C.K) FROM JC C WHERE C.G = A.X / 10)",
+        [ [ "10"; "100" ] ] );
+      ( "SEL A.X, B.Y FROM JA A LEFT JOIN JB B ON A.K = B.G AND A.K = (SEL \
+         MIN(C.K) FROM JC C WHERE C.G = A.X / 10)",
+        [ [ "10"; "100" ]; [ "20"; "NULL" ]; [ "30"; "NULL" ]; [ "40"; "NULL" ] ] );
+      ( "SEL A.X, B.Y FROM JA A JOIN JB B ON B.G = (SEL MIN(C.K) FROM JC C \
+         WHERE C.G = B.Y / 100) AND A.K = B.G",
+        [ [ "10"; "100" ] ] );
+    ]
+
+(* Scans fold a table's newly inserted rows in on first use. A correlated
+   subquery in a parallel filter scans its table on every morsel domain at
+   once, right after an INSERT: every domain must see each row once, and
+   the table must keep each row once. *)
+let test_scan_after_insert_parallel () =
+  List.iter
+    (fun d ->
+      let p = Pipeline.create () in
+      p.Pipeline.backend.Backend.exec_mode <- Backend.Batch;
+      Pipeline.set_exec_domains p d;
+      let run sql = Pipeline.run_sql p sql in
+      let count sql =
+        match (run sql).Pipeline.out_rows with
+        | [ [| v |] ] -> Value.to_string v
+        | _ -> Alcotest.failf "one count expected: %s" sql
+      in
+      ignore (run "CREATE TABLE DIG (N INTEGER)");
+      ignore
+        (run
+           ("INSERT INTO DIG (N) VALUES "
+           ^ String.concat ", " (List.init 100 (fun i -> Printf.sprintf "(%d)" i))));
+      ignore (run "CREATE TABLE OUTR (K INTEGER)");
+      ignore (run "INSERT INTO OUTR (K) SEL A.N * 100 + B.N FROM DIG A CROSS JOIN DIG B WHERE A.N < 60");
+      ignore (run "CREATE TABLE INR (K INTEGER)");
+      for round = 1 to 4 do
+        let tag = Printf.sprintf "batch@%d round %d" d round in
+        ignore (run "DELETE FROM INR");
+        ignore (run "INSERT INTO INR (K) SEL K FROM OUTR WHERE K MOD 50 = 0");
+        (* nothing has scanned INR since the INSERT *)
+        check Alcotest.string (tag ^ ": semi-join count") "239"
+          (count
+             "SEL COUNT(*) FROM OUTR O WHERE EXISTS (SEL 1 FROM INR I WHERE \
+              I.K = O.K OR I.K = O.K + 1)");
+        check Alcotest.string (tag ^ ": INR rows") "120" (count "SEL COUNT(*) FROM INR")
+      done)
+    [ 2; 4 ]
+
 (* --- compare_with_key totality ----------------------------------------- *)
 
 let sk dir nulls = { Xtra.key = Xtra.Const Value.Null; dir; nulls }
@@ -324,6 +600,13 @@ let suite =
     ("customer row/batch differential", `Slow, test_customer_differential);
     ("null join keys never match", `Quick, test_null_join_keys_never_match);
     ("null group keys coalesce", `Quick, test_null_group_keys_coalesce);
+    ("dml row/batch differential", `Quick, test_dml_differential);
+    ("dml multi-match raises 7547", `Quick, test_dml_multi_match_raises);
+    ("dml and joins on cross-type keys", `Quick, test_cross_type_keys);
+    ( "join key holding a correlated subquery",
+      `Quick,
+      test_join_key_with_correlated_subquery );
+    ("scan after insert, parallel subquery", `Quick, test_scan_after_insert_parallel);
     ("compare_with_key: NaN total order", `Quick, test_compare_with_key_nan);
     ( "compare_with_key: Int vs Decimal",
       `Quick,

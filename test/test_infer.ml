@@ -198,6 +198,56 @@ let test_rel_cardinality () =
   let ep = Infer.rel_props (Xtra.Values_rel { rows = []; values_schema = schema_t }) in
   check bb "empty VALUES card 0" true (ep.Infer.card_max = Some 0)
 
+(* Outer joins keep their preserved side's rows even when nothing matches,
+   so the bound is not [lp * rp]; and a bound that would overflow is no
+   bound. Each claim is checked against the rows the engine returns. *)
+let test_outer_join_cardinality () =
+  let module Executor = Hyperq_engine.Executor in
+  let module Storage = Hyperq_engine.Storage in
+  let values id n =
+    Xtra.Values_rel
+      { rows = List.init n (fun i -> [ ci (100 * id + i) ]); values_schema = [ col id "V" Dtype.Int ] }
+  in
+  let join kind l r =
+    let pred =
+      Xtra.Cmp
+        ( Xtra.Eq,
+          Xtra.Col_ref (col 1 "V" Dtype.Int),
+          Xtra.Col_ref (col 2 "V" Dtype.Int) )
+    in
+    Xtra.Join { kind; left = values 1 l; right = values 2 r; pred = Some pred }
+  in
+  List.iter
+    (fun (name, kind, l, r, bound) ->
+      let j = join kind l r in
+      let actual =
+        List.length (Executor.exec (Executor.create_ctx (Storage.create ())) j)
+      in
+      let card = (Infer.rel_props j).Infer.card_max in
+      check bb (name ^ ": bound") true (card = Some bound);
+      check bb (name ^ ": actual rows within bound") true (actual <= bound))
+    [
+      ("left outer, empty right", Xtra.Left_outer, 1, 0, 1);
+      ("right outer, empty left", Xtra.Right_outer, 0, 1, 1);
+      ("full outer, nothing matches", Xtra.Full_outer, 1, 1, 3);
+      ("full outer, empty left", Xtra.Full_outer, 0, 2, 2);
+      ("left outer, 2 x 3", Xtra.Left_outer, 2, 3, 6);
+      ("inner, empty right", Xtra.Inner, 1, 0, 0);
+    ];
+  let huge id =
+    Xtra.Limit
+      {
+        input = Xtra.Get { table = "T"; table_schema = [ col id "A" Dtype.Int ]; alias = "T" };
+        count = Some (Xtra.Const (Value.Int (Int64.of_int (max_int / 2))));
+        offset = None;
+        with_ties = false;
+        percent = false;
+      }
+  in
+  check bb "overflowing product is no bound" true
+    ((Infer.rel_props (Xtra.Join { kind = Xtra.Cross; left = huge 1; right = huge 2; pred = None }))
+       .Infer.card_max = None)
+
 let test_filter_refinement () =
   (* WHERE A > 5 narrows A's interval and makes it not-null downstream *)
   let a = col 1 "A" Dtype.Int in
@@ -536,6 +586,8 @@ let suite =
     Alcotest.test_case "determinism classification" `Quick test_determinism;
     Alcotest.test_case "rel props: keys" `Quick test_rel_keys;
     Alcotest.test_case "rel props: cardinality" `Quick test_rel_cardinality;
+    Alcotest.test_case "rel props: outer-join cardinality" `Quick
+      test_outer_join_cardinality;
     Alcotest.test_case "filter refinement + 3VL truth" `Quick test_filter_refinement;
     Alcotest.test_case "pass: contradiction pruning" `Quick test_contradiction_pruning;
     Alcotest.test_case "pass: join strengthening" `Quick test_join_strengthening;

@@ -169,8 +169,18 @@ let test_grouping_equality () =
   check bb "nulls group together" true (Value.equal_group Value.Null Value.Null);
   check bb "nulls not sql-equal" false (Value.equal_sql Value.Null Value.Null);
   check bb "2 groups with 2.0" true (Value.equal_group (vi 2) (vd "2.0"));
-  check bb "hash agrees when grouped equal" true
-    (Value.hash (vi 2) = Value.hash (vd "2.0"))
+  List.iter
+    (fun (name, a, b) ->
+      check bb (name ^ " group together") true (Value.equal_group a b);
+      check bb (name ^ " hash alike") true (Value.hash a = Value.hash b))
+    [
+      ("2 and 2.0", vi 2, vd "2.0");
+      ("1.50 and 1.5e0", vd "1.50", vf 1.5);
+      ("2^53+1 and its float", Value.Int 9_007_199_254_740_993L,
+       vf (Int64.to_float 9_007_199_254_740_993L));
+      ("a date and its midnight", Value.Date (d 2020 1 2),
+       Value.cast (Value.Date (d 2020 1 2)) Dtype.Timestamp);
+    ]
 
 let test_arith_semantics () =
   check bb "null propagates" true
