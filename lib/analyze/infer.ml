@@ -956,11 +956,14 @@ and infer_rel (cx : ctx) (outer : props Imap.t) (r : Xtra.rel) : rel_props =
         card_max = ip.card_max;
       }
   | Xtra.Sort { input; _ } -> infer_rel cx outer input
-  | Xtra.Limit { input; count; _ } ->
+  | Xtra.Limit { input; count; with_ties; percent; _ } ->
+      (* WITH TIES adds every row tied with the last one, and PERCENT counts
+         a share of the input, not rows: either can return more than [n] *)
       let ip = infer_rel cx outer input in
       let card_max =
         match count with
-        | Some (Xtra.Const (Value.Int n)) when Int64.compare n 0L >= 0 ->
+        | Some (Xtra.Const (Value.Int n))
+          when Int64.compare n 0L >= 0 && not (with_ties || percent) ->
             let n = Int64.to_int n in
             Some (match ip.card_max with Some m -> min m n | None -> n)
         | _ -> ip.card_max

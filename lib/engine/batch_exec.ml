@@ -2,28 +2,30 @@
    operators exchanging columnar {!Batch.t} values.
 
    Scans, filters, projections, equi-hash-joins, hash aggregation, DISTINCT,
-   and LIMIT stream batch-at-a-time; blocking operators (sort, window, set
-   operations) drain their compiled input and reuse the row-path
-   implementations in {!Executor}; plan shapes the batch path does not cover
-   (CTEs, cross/residual joins, grouping sets) fall back to the row
-   interpreter wholesale. Scalar expressions compile to closures with column
-   positions resolved at compile time — no per-row frame pushes or id
-   hashtable lookups — and scalars the batch path cannot compile (subqueries,
-   parameters) evaluate through a per-row adapter frame on the row path, so
-   every plan executes. *)
+   and LIMIT stream batch-at-a-time. The first four are morsel regions and
+   aggregation folds one: each has one implementation, whatever the domain
+   count. Blocking operators (sort, window, set operations) drain their
+   compiled input and reuse the row-path implementations in {!Executor};
+   plan shapes the batch path does not cover (CTEs, joins without an
+   equality conjunct, grouping sets) fall back to the row interpreter
+   wholesale. Scalar expressions compile to closures with column positions
+   resolved at compile time — no per-row frame pushes or id hashtable
+   lookups — and scalars the batch path cannot compile (subqueries,
+   parameters) evaluate through a per-row adapter frame on the row path,
+   so every plan executes. *)
 
 open Hyperq_sqlvalue
 module Xtra = Hyperq_xtra.Xtra
 
-(* An operator: a pull-based batch stream, plus — when the statement's
-   parallelism budget allows and the subtree is morsel-splittable — a
-   parallel source. A parallel source is started once; it then hands each
-   worker domain a private puller over a SHARED atomic morsel cursor, so
-   domains claim morsels dynamically. Every batch is tagged with its morsel
-   sequence number; the driver reassembles outputs in sequence order, which
-   makes the parallel batch stream bit-identical to the sequential one.
-   [pm_tail] runs once on the caller after the barrier (outer-join unmatched
-   rows, and anything downstream of them). *)
+(* An operator: a pull-based batch stream, plus, for scan, filter,
+   projection and hash join, the morsel region that stream is made of. A
+   region is started once; it then hands each body a private puller over a
+   SHARED atomic morsel cursor, so bodies claim morsels dynamically. Every
+   batch is tagged with its morsel sequence number; [op_of_region] reassembles
+   outputs in sequence order, so the stream is the same at every domain
+   count — the domain count is only how many bodies a run gets. [pm_tail]
+   runs once on the caller after every morsel (outer-join unmatched rows,
+   an input that has no region, and anything downstream of them). *)
 type op = {
   schema : Xtra.schema;
   next : unit -> Batch.t option;
@@ -37,13 +39,13 @@ and par_run = {
   pm_make : int -> unit -> (int * Batch.t) option;
       (** [pm_make slot] builds the per-domain puller for body [slot]:
           domain-private compiled closures over the shared cursor *)
-  pm_tail : unit -> Batch.t list;
-      (** caller-side epilogue after the barrier, ordered after all morsels *)
+  pm_tail : Batch.t Seq.t;
+      (** caller-side epilogue, ordered after all morsels; forced once *)
 }
 
-(* A morsel-tagged error: raised inside a puller chain so the driver can
+(* A morsel-tagged error: raised inside a puller chain so [run_morsels] can
    attribute the failure to a morsel and re-raise the error of the EARLIEST
-   failing morsel — the one the sequential path would have hit first. *)
+   failing morsel — the one a single domain would have hit first. *)
 exception Morsel_error of int * exn
 
 (* --- per-operator batch counters (sampled by the obs registry) ---------
@@ -523,8 +525,7 @@ let new_acc () =
     a_vals = [];
   }
 
-(* Fold row [i] of batch [b] into the accumulators — shared by the
-   sequential aggregation loop and the per-domain partial loops. *)
+(* Fold row [i] of batch [b] into one group's accumulators. *)
 let agg_update (aggs_a : Xtra.agg_def array)
     (arg_fs : (Batch.t -> int -> Value.t) option array) (accs : agg_acc array)
     b i =
@@ -595,9 +596,9 @@ let agg_finalized aggs_a accs =
   Array.to_list
     (Array.mapi (fun j acc -> agg_finalize_one aggs_a.(j) acc) accs)
 
-(* Aggregates a parallel two-phase plan may compute as per-domain partials
-   merged at the barrier. The merge must be EXACT and order-insensitive, or
-   the parallel answer could differ from the sequential one:
+(* Aggregates a two-phase plan may compute as per-body partials merged
+   after the barrier. The merge must be EXACT and order-insensitive, or the
+   answer could depend on how morsels fell to bodies:
    - COUNT and COUNT_star add integer counts — always safe.
    - SUM/AVG only over Int/Decimal arguments (the output column type is Int
      or Decimal exactly when the argument is): integer addition wraps
@@ -626,9 +627,8 @@ let par_safe_aggs (aggs : (Xtra.col * Xtra.agg_def) list) =
           | _ -> false))
     aggs
 
-(* Merge partial [src] into [dst], in body-slot order (0, 1, ..., tail), so
-   repeated merges fold exactly like the sequential row order would for the
-   [par_safe_aggs] subset. *)
+(* Merge partial [src] into [dst]; for the [par_safe_aggs] subset the result
+   equals folding both partials' rows in row order. *)
 let merge_accs (aggs_a : Xtra.agg_def array) (dst : agg_acc array)
     (src : agg_acc array) =
   Array.iteri
@@ -701,9 +701,9 @@ let unbox_hint ctx (schema : Xtra.schema) (pred : Xtra.scalar) =
 let dbg_times : (string, float ref) Hashtbl.t = Hashtbl.create 8
 
 (* Re-read per call (not lazy) so tests can toggle the variable at runtime.
-   Parallel regions bypass the per-op timing wrapper — fragment work inside a
-   region is attributed to the op that drives the region — so [dbg_times]
-   stays a caller-thread-only structure. *)
+   Regions bypass the per-op timing wrapper — fragment work inside a region
+   is attributed to the op that drives the region — so [dbg_times] stays a
+   caller-thread-only structure. *)
 let dbg_enabled () =
   match Sys.getenv_opt "HYPERQ_EXEC_DEBUG" with
   | None | Some "" -> false (* empty = off, so tests can putenv it away *)
@@ -716,84 +716,120 @@ let dbg_report () =
     (List.sort (fun (_, a) (_, b) -> compare b a) all);
   Hashtbl.reset dbg_times
 
-(* --- parallel region driver -------------------------------------------- *)
+(* --- morsel regions ------------------------------------------------------ *)
 
-(* Drive a started region across the domain pool and return its batches in
-   morsel order followed by the tail. Each body owns a private puller; morsel
-   outputs land in disjoint slots of [out], published by the run barrier.
-   A body that sees an error records it (tagged with its morsel) and stops
-   pulling; after the barrier the error of the EARLIEST morsel re-raises.
-   That choice is exactly the sequential error: the cursor hands out morsels
-   in ascending order, so every morsel before the earliest failing one was
-   fully processed without error. *)
-let run_par_source (run : par_run) ndom : Batch.t list =
-  let out = Array.make (max run.pm_total 1) None in
+(* An op without a region as one: no morsels, its whole stream as the
+   tail. *)
+let region_of (op : op) : par_source =
+  match op.par with
+  | Some src -> src
+  | None ->
+      fun () ->
+        {
+          pm_total = 0;
+          pm_make = (fun _ () -> None);
+          pm_tail = Seq.of_dispenser op.next;
+        }
+
+(* Drive a started region's morsels on up to [ndom] domains. Body [d] pulls
+   its private puller and hands each morsel batch to [consume d], built once
+   per body so it may hold domain-private compiled state. A body that sees
+   an error, in the pull or in [consume], records it tagged with its morsel
+   and stops pulling; after the barrier the error of the EARLIEST morsel
+   re-raises. That choice is exactly the one-domain error: the cursor hands
+   out morsels in ascending order, so every morsel before the earliest
+   failing one was fully processed without error. *)
+let run_morsels ndom (run : par_run) (consume : int -> int -> Batch.t -> unit)
+    =
   let errs = ref [] in
   let errs_m = Mutex.create () in
+  let record k e =
+    Mutex.lock errs_m;
+    errs := (k, e) :: !errs;
+    Mutex.unlock errs_m
+  in
   let body d =
-    let pull = run.pm_make d in
+    let pull = run.pm_make d and consume = consume d in
     let rec go () =
-      match
-        try `Batch (pull ()) with
-        | Morsel_error (k, e) -> `Err (k, e)
-        | e -> `Err (max_int, e)
-      with
-      | `Batch None -> ()
-      | `Batch (Some (k, b)) ->
-          out.(k) <- Some b;
-          Morsel.note_morsel d;
-          go ()
-      | `Err (k, e) ->
-          Mutex.lock errs_m;
-          errs := (k, e) :: !errs;
-          Mutex.unlock errs_m
+      match pull () with
+      | None -> ()
+      | Some (k, b) -> (
+          match consume k b with
+          | () ->
+              Morsel.note_morsel d;
+              go ()
+          | exception e -> record k e)
+      | exception Morsel_error (k, e) -> record k e
+      | exception e -> record max_int e
     in
     go ()
   in
   Morsel.run ~domains:(max 1 (min ndom run.pm_total)) body;
-  (match List.sort (fun ((a : int), _) (b, _) -> compare a b) !errs with
+  match List.sort (fun ((a : int), _) (b, _) -> compare a b) !errs with
   | (_, e) :: _ -> raise e
-  | [] -> ());
-  let acc = ref (run.pm_tail ()) in
-  for k = run.pm_total - 1 downto 0 do
-    match out.(k) with Some b -> acc := b :: !acc | None -> ()
-  done;
-  !acc
+  | [] -> ()
 
-(* Wrap a region as an op. With a parallelism budget of 1 the sequential
-   [next] is used untouched (bit-identical to the pre-parallel code path);
-   otherwise the first pull collects the whole region and streams the
-   reassembled batches, skipping morsels that filtered down to zero rows
-   (the sequential path never emits empty batches). *)
-let op_of_region ctx schema ?seq_next (src : par_source) : op =
-  let ndom = ctx.Executor.domains in
-  match seq_next with
-  | Some f when ndom <= 1 -> { schema; next = f; par = None }
-  | _ ->
-      let state : Batch.t list ref option ref = ref None in
-      let next () =
-        let q =
-          match !state with
-          | Some q -> q
-          | None ->
-              let q = ref (run_par_source (src ()) ndom) in
-              state := Some q;
-              q
-        in
-        let rec pop () =
-          match !q with
-          | [] -> None
-          | b :: rest ->
-              q := rest;
-              if Batch.num_rows b = 0 then pop () else Some b
-        in
-        pop ()
+(* Wrap a region as an op. With one domain (or at most one morsel) the op
+   streams it: body 0's puller on the caller, then the tail. Otherwise the
+   first pull runs every morsel across the domain pool, keeping the outputs
+   in morsel order, and then streams them and the tail. Either way the
+   batches come out in the same order, and empty ones (morsels filtered down
+   to nothing) are skipped. *)
+let op_of_region ctx schema (src : par_source) : op =
+  let start () : Batch.t Seq.t =
+    let run = src () in
+    let ndom = min ctx.Executor.domains run.pm_total in
+    if ndom <= 1 then begin
+      let pull = run.pm_make 0 in
+      let rec body () =
+        match pull () with
+        | Some (_, b) -> Seq.Cons (b, body)
+        | None -> run.pm_tail ()
+        | exception Morsel_error (_, e) -> raise e
       in
-      { schema; next; par = Some src }
+      body
+    end
+    else begin
+      let out = Array.make run.pm_total None in
+      run_morsels ndom run (fun _ k b -> out.(k) <- Some b);
+      Seq.append (Seq.filter_map Fun.id (Array.to_seq out)) run.pm_tail
+    end
+  in
+  let rest = ref (fun () -> start () ()) in
+  let rec next () =
+    match !rest () with
+    | Seq.Nil ->
+        rest := Seq.empty;
+        None
+    | Seq.Cons (b, tl) ->
+        rest := tl;
+        if Batch.num_rows b = 0 then next () else Some b
+  in
+  { schema; next; par = Some src }
 
-(* Conjunct filters for [compile_filter], factored out so a parallel region
-   can compile a domain-private copy against a cloned ctx (compiled scalars
-   may push adapter frames on the ctx they captured). *)
+(* A region whose every batch, in the morsels and in the tail, passes
+   through [make pctx]: compiled once per body against a domain-private ctx
+   (compiled scalars may push adapter frames on the ctx they captured), and
+   against [ctx] for the tail. An error in it is tagged with its morsel. *)
+let map_region ctx (src : par_source) make : par_source =
+ fun () ->
+  let run = src () in
+  {
+    run with
+    pm_make =
+      (fun d ->
+        let f = make (Executor.clone_for_domain ctx) and pull = run.pm_make d in
+        fun () ->
+          match pull () with
+          | None -> None
+          | Some (k, b) -> (
+              match f b with
+              | b -> Some (k, b)
+              | exception e -> raise (Morsel_error (k, e))));
+    pm_tail = (fun () -> Seq.map (make ctx) run.pm_tail ());
+  }
+
+(* Conjunct filters for [compile_filter], compiled once per region body. *)
 let make_conjs ctx index pred =
   List.map
     (fun conj ->
@@ -849,415 +885,6 @@ let rel_label : Xtra.rel -> string = function
   | Xtra.Cte_ref _ -> "cte_ref"
   | Xtra.With_cte _ -> "with_cte"
 
-(* Parallel equi-hash-join.
-
-   Build (runs once, on the caller, when the region starts):
-   1. drain the build side into the global row store (the build side's own
-      operators may parallelize internally — this loop is just the final
-      collection);
-   2. PARALLEL: evaluate join keys and hashes over build-row morsels into
-      disjoint slices of flat arrays (an empty key row marks a NULL join
-      key, which can match nothing);
-   3. sequential, cheap: bucket surviving row indices per radix partition,
-      preserving global row order within each partition;
-   4. PARALLEL: partition-per-worker insert into 2^radix_bits independent
-      tables — same-key rows always share a partition, so no table sees
-      writes from two domains, and per-partition duplicate chains come out
-      exactly as the sequential single-table build would have linked them.
-
-   Probe is a region over the left input: each domain probes whole left
-   morsels with domain-private key/residual closures against the shared
-   read-only tables. Outer-join bookkeeping ([matched]) uses idempotent
-   flag writes published by the run barrier; the unmatched-right sweep runs
-   in the region tail, after every probe morsel. *)
-let compile_join_par ctx (jnode : Xtra.rel) kind (lop : op)
-    (lsrc : par_source) (rop : op) equi residual : op =
-  let lindex = Executor.make_index lop.schema in
-  let rindex = Executor.make_index rop.schema in
-  let schema = Xtra.schema_of jnode in
-  let tys = tys_of schema in
-  let rtys = tys_of rop.schema in
-  let rwidth = List.length rop.schema and lwidth = List.length lop.schema in
-  let null_right = Array.make rwidth Value.Null in
-  let null_left = Array.make lwidth Value.Null in
-  let keep_left = kind = Xtra.Left_outer || kind = Xtra.Full_outer in
-  let keep_right = kind = Xtra.Right_outer || kind = Xtra.Full_outer in
-  let nparts = Hash_table.num_partitions in
-  let tables =
-    Array.init nparts (fun _ -> Hash_table.create ~null_equal:false 64)
-  in
-  let pheads = Array.init nparts (fun _ -> Vec.create (-1)) in
-  let rrows : Executor.row Vec.t = Vec.create [||] in
-  let nexts = ref [||] in
-  let hashes = ref [||] in
-  let keys : Value.t array array ref = ref [||] in
-  let matched = ref [||] in
-  let built = ref false in
-  let build () =
-    let rec collect () =
-      match rop.next () with
-      | None -> ()
-      | Some rb ->
-          Batch.iter (fun i -> ignore (Vec.push rrows (Batch.to_row rb i))) rb;
-          collect ()
-    in
-    collect ();
-    let n = Vec.length rrows in
-    add c_join_build_rows n;
-    nexts := Array.make (max n 1) (-1);
-    hashes := Array.make (max n 1) 0;
-    keys := Array.make (max n 1) [||];
-    let khashes = !hashes and kkeys = !keys in
-    let nm = (n + Batch.capacity - 1) / Batch.capacity in
-    let cursor = Atomic.make 0 in
-    let errs = ref [] in
-    let errs_m = Mutex.create () in
-    Morsel.run ~domains:(max 1 (min ctx.Executor.domains nm)) (fun d ->
-        let dctx = Executor.clone_for_domain ctx in
-        let rkey_fs =
-          Array.of_list
-            (List.map (fun (_, b) -> compile_scalar dctx rindex b) equi)
-        in
-        let rec go () =
-          let k = Atomic.fetch_and_add cursor 1 in
-          if k < nm then begin
-            let lo = k * Batch.capacity in
-            let len = min Batch.capacity (n - lo) in
-            (try
-               let b = Batch.of_rows rtys rrows.Vec.data lo len in
-               for i = 0 to len - 1 do
-                 let key = Array.map (fun f -> f b i) rkey_fs in
-                 if not (Array.exists Value.is_null key) then begin
-                   kkeys.(lo + i) <- key;
-                   khashes.(lo + i) <- Hash_table.hash_key key
-                 end
-               done
-             with e ->
-               Mutex.lock errs_m;
-               errs := (k, e) :: !errs;
-               Mutex.unlock errs_m);
-            Morsel.note_morsel d;
-            go ()
-          end
-        in
-        go ());
-    (match List.sort (fun ((a : int), _) (b, _) -> compare a b) !errs with
-    | (_, e) :: _ -> raise e
-    | [] -> ());
-    let part_rows = Array.init nparts (fun _ -> Vec.create 0) in
-    for ri = 0 to n - 1 do
-      if Array.length kkeys.(ri) > 0 then
-        ignore
-          (Vec.push part_rows.(Hash_table.partition_of_hash khashes.(ri)) ri)
-    done;
-    let pcursor = Atomic.make 0 in
-    Morsel.run ~domains:(max 1 (min ctx.Executor.domains nparts)) (fun d ->
-        let rec go () =
-          let p = Atomic.fetch_and_add pcursor 1 in
-          if p < nparts then begin
-            let pr = part_rows.(p) in
-            let tbl = tables.(p) and hd = pheads.(p) in
-            for q = 0 to Vec.length pr - 1 do
-              let ri = Vec.get pr q in
-              let e, inserted =
-                Hash_table.find_or_insert tbl kkeys.(ri) khashes.(ri)
-              in
-              if inserted then ignore (Vec.push hd ri)
-              else begin
-                !nexts.(ri) <- Vec.get hd e;
-                Vec.set hd e ri
-              end
-            done;
-            if Vec.length pr > 0 then Morsel.note_morsel d;
-            go ()
-          end
-        in
-        go ());
-    if keep_right then matched := Array.make (max n 1) false
-  in
-  (* Domain-private prober: key closures and residual adapter frames compile
-     against [pctx] so concurrent probes never share a frame stack. *)
-  let make_prober pctx =
-    let lkey_fs =
-      Array.of_list (List.map (fun (a, _) -> compile_scalar pctx lindex a) equi)
-    in
-    let lframe = { Executor.index = lindex; row = [||] } in
-    let rframe = { Executor.index = rindex; row = [||] } in
-    let residual_ok lrow rrow =
-      residual = []
-      || begin
-           lframe.Executor.row <- lrow;
-           rframe.Executor.row <- rrow;
-           Executor.push_frame pctx lframe;
-           Executor.push_frame pctx rframe;
-           let ok =
-             List.for_all
-               (fun c ->
-                 Scalar_func.bool3_of_value (Executor.eval pctx c) = Some true)
-               residual
-           in
-           Executor.pop_frame pctx;
-           Executor.pop_frame pctx;
-           ok
-         end
-    in
-    fun (buf : Executor.row Vec.t) lb ->
-      add c_join_probe_rows (Batch.num_rows lb);
-      Batch.iter
-        (fun i ->
-          let key = Array.map (fun f -> f lb i) lkey_fs in
-          let e, p =
-            if Array.exists Value.is_null key then (-1, 0)
-            else begin
-              let h = Hash_table.hash_key key in
-              let p = Hash_table.partition_of_hash h in
-              (Hash_table.find tables.(p) key h, p)
-            end
-          in
-          if e < 0 then begin
-            if keep_left then
-              ignore
-                (Vec.push buf (Array.append (Batch.to_row lb i) null_right))
-          end
-          else begin
-            let lrow = Batch.to_row lb i in
-            let any = ref false in
-            let j = ref (Vec.get pheads.(p) e) in
-            while !j >= 0 do
-              let rrow = Vec.get rrows !j in
-              if residual_ok lrow rrow then begin
-                any := true;
-                if keep_right then !matched.(!j) <- true;
-                ignore (Vec.push buf (Array.append lrow rrow))
-              end;
-              j := !nexts.(!j)
-            done;
-            if (not !any) && keep_left then
-              ignore (Vec.push buf (Array.append lrow null_right))
-          end)
-        lb
-  in
-  (* One output batch per probe morsel — possibly larger than
-     [Batch.capacity]; downstream operators size off [nrows], not the
-     capacity constant. *)
-  let batch_of_buf (buf : Executor.row Vec.t) =
-    if Vec.length buf > 0 then bump "join";
-    Batch.of_rows tys buf.Vec.data 0 (Vec.length buf)
-  in
-  let src () =
-    if not !built then begin
-      let t0 = Unix.gettimeofday () in
-      build ();
-      if dbg_enabled () then
-        Printf.eprintf "      join build (parallel): %.2f ms (%d rows)\n"
-          (1000. *. (Unix.gettimeofday () -. t0))
-          (Vec.length rrows);
-      built := true
-    end;
-    let lrun = lsrc () in
-    {
-      pm_total = lrun.pm_total;
-      pm_make =
-        (fun d ->
-          let prober = make_prober (Executor.clone_for_domain ctx) in
-          let pull = lrun.pm_make d in
-          fun () ->
-            match pull () with
-            | None -> None
-            | Some (k, lb) ->
-                let b =
-                  try
-                    let buf : Executor.row Vec.t = Vec.create [||] in
-                    prober buf lb;
-                    batch_of_buf buf
-                  with
-                  | Morsel_error _ as e -> raise e
-                  | e -> raise (Morsel_error (k, e))
-                in
-                Some (k, b));
-      pm_tail =
-        (fun () ->
-          let prober = make_prober ctx in
-          let out =
-            List.filter_map
-              (fun lb ->
-                let buf : Executor.row Vec.t = Vec.create [||] in
-                prober buf lb;
-                if Vec.length buf = 0 then None else Some (batch_of_buf buf))
-              (lrun.pm_tail ())
-          in
-          if not keep_right then out
-          else begin
-            let buf : Executor.row Vec.t = Vec.create [||] in
-            for j = 0 to Vec.length rrows - 1 do
-              if not !matched.(j) then
-                ignore
-                  (Vec.push buf (Array.append null_left (Vec.get rrows j)))
-            done;
-            if Vec.length buf = 0 then out else out @ [ batch_of_buf buf ]
-          end);
-    }
-  in
-  op_of_region ctx schema src
-
-(* Parallel two-phase aggregation: each domain folds its morsels into a
-   PRIVATE partial (hash table of per-group accumulators), and the caller
-   merges partials after the barrier, in body-slot order. Only
-   [par_safe_aggs] aggregates reach this path, so the merged accumulators
-   equal the sequential ones exactly. Output order: the sequential path
-   emits groups in first-seen order over the global row stream; each partial
-   tags a group with its first (morsel, position-in-morsel), the merge keeps
-   the minimum tag, and a final sort by tag reconstructs that exact order. *)
-let compile_agg_par ctx schema ischema (isrc : par_source) group_by
-    (aggs_a : Xtra.agg_def array) : op =
-  let rows =
-    lazy
-      (let index = Executor.make_index ischema in
-       let irun = isrc () in
-       let stride = 1 lsl 40 in
-       let nd = max 1 (min ctx.Executor.domains (max 1 irun.pm_total)) in
-       let errs = ref [] in
-       let errs_m = Mutex.create () in
-       let record k e =
-         Mutex.lock errs_m;
-         errs := (k, e) :: !errs;
-         Mutex.unlock errs_m
-       in
-       (* the standard region pull loop, with per-morsel error attribution *)
-       let pull_loop d pull consume =
-         let rec go () =
-           match
-             try `Batch (pull ()) with
-             | Morsel_error (k, e) -> `Err (k, e)
-             | e -> `Err (max_int, e)
-           with
-           | `Batch None -> ()
-           | `Batch (Some (k, b)) -> (
-               match
-                 try
-                   consume k b;
-                   `Ok
-                 with e -> `Err (k, e)
-               with
-               | `Ok ->
-                   Morsel.note_morsel d;
-                   go ()
-               | `Err (k, e) -> record k e)
-           | `Err (k, e) -> record k e
-         in
-         go ()
-       in
-       let raise_earliest () =
-         match
-           List.sort (fun ((a : int), _) (b, _) -> compare a b) !errs
-         with
-         | (_, e) :: _ -> raise e
-         | [] -> ()
-       in
-       let arg_plans pctx =
-         Array.map
-           (fun (a : Xtra.agg_def) ->
-             Option.map (compile_scalar pctx index) a.Xtra.aarg)
-           aggs_a
-       in
-       if group_by = [] then begin
-         (* global aggregate: one accumulator row per body slot, plus one
-            for the region tail; merged in slot order *)
-         let partials =
-           Array.init (nd + 1) (fun _ -> Array.map (fun _ -> new_acc ()) aggs_a)
-         in
-         let consume pctx accs =
-           let arg_fs = arg_plans pctx in
-           fun b -> Batch.iter (fun i -> agg_update aggs_a arg_fs accs b i) b
-         in
-         Morsel.run ~domains:nd (fun d ->
-             let consume1 = consume (Executor.clone_for_domain ctx) partials.(d) in
-             pull_loop d (irun.pm_make d) (fun _ b -> consume1 b));
-         raise_earliest ();
-         let consume_tail = consume ctx partials.(nd) in
-         List.iter consume_tail (irun.pm_tail ());
-         let acc = partials.(0) in
-         for s = 1 to nd do
-           merge_accs aggs_a acc partials.(s)
-         done;
-         [ Array.of_list (agg_finalized aggs_a acc) ]
-       end
-       else begin
-         let partials =
-           Array.init (nd + 1) (fun _ ->
-               ( Hash_table.create ~null_equal:true 64,
-                 (Vec.create [||] : agg_acc array Vec.t),
-                 Vec.create 0 ))
-         in
-         let consume pctx slot =
-           let ht, gaccs, firsts = partials.(slot) in
-           let key_fs =
-             Array.of_list
-               (List.map
-                  (fun ((_ : Xtra.col), e) -> compile_scalar pctx index e)
-                  group_by)
-           in
-           let arg_fs = arg_plans pctx in
-           fun k b ->
-             let pos = ref 0 in
-             Batch.iter
-               (fun i ->
-                 let key = Array.map (fun f -> f b i) key_fs in
-                 let h = Hash_table.hash_key key in
-                 let e, inserted = Hash_table.find_or_insert ht key h in
-                 if inserted then begin
-                   ignore
-                     (Vec.push gaccs (Array.map (fun _ -> new_acc ()) aggs_a));
-                   ignore (Vec.push firsts ((k * stride) + !pos))
-                 end;
-                 agg_update aggs_a arg_fs (Vec.get gaccs e) b i;
-                 incr pos)
-               b
-         in
-         Morsel.run ~domains:nd (fun d ->
-             let consume1 = consume (Executor.clone_for_domain ctx) d in
-             pull_loop d (irun.pm_make d) consume1);
-         raise_earliest ();
-         let consume_tail = consume ctx nd in
-         List.iteri
-           (fun i b -> consume_tail (irun.pm_total + i) b)
-           (irun.pm_tail ());
-         let mht = Hash_table.create ~null_equal:true 256 in
-         let maccs : agg_acc array Vec.t = Vec.create [||] in
-         let mfirst = Vec.create 0 in
-         Array.iter
-           (fun (ht, gaccs, firsts) ->
-             for g = 0 to Hash_table.count ht - 1 do
-               let key = Hash_table.entry_key ht g in
-               let h = Hash_table.hash_key key in
-               let e, inserted = Hash_table.find_or_insert mht key h in
-               if inserted then begin
-                 ignore (Vec.push maccs (Vec.get gaccs g));
-                 ignore (Vec.push mfirst (Vec.get firsts g))
-               end
-               else begin
-                 merge_accs aggs_a (Vec.get maccs e) (Vec.get gaccs g);
-                 if Vec.get firsts g < Vec.get mfirst e then
-                   Vec.set mfirst e (Vec.get firsts g)
-               end
-             done)
-           partials;
-         add c_agg_groups (Hash_table.count mht);
-         let order = Array.init (Hash_table.count mht) (fun g -> g) in
-         Array.sort
-           (fun a b -> compare (Vec.get mfirst a) (Vec.get mfirst b))
-           order;
-         Array.to_list
-           (Array.map
-              (fun g ->
-                Array.append
-                  (Hash_table.entry_key mht g)
-                  (Array.of_list (agg_finalized aggs_a (Vec.get maccs g))))
-              order)
-       end)
-  in
-  op_of_lazy_rows "aggregate" schema rows
-
 let rec compile ctx (r : Xtra.rel) : op =
   if not (dbg_enabled ()) then compile_node ctx r
   else begin
@@ -1289,76 +916,39 @@ and compile_node ctx (r : Xtra.rel) : op =
         (compile_get ctx g ~unbox:(unbox_hint ctx (Xtra.schema_of g) pred) ())
         pred
   | Xtra.Filter { input; pred } -> compile_filter ctx (compile ctx input) pred
-  | Xtra.Project { input; proj } -> (
+  | Xtra.Project { input; proj } ->
       let iop = compile ctx input in
       let index = Executor.make_index iop.schema in
-      let schema = Xtra.schema_of r in
-      let make_plans pctx =
-        Array.of_list
-          (List.map
-             (fun ((_ : Xtra.col), e) ->
-               match e with
-               | Xtra.Col_ref c -> (
-                   match Hashtbl.find_opt index c.Xtra.id with
-                   | Some pos -> `Share pos
-                   | None -> `Compute (compile_scalar pctx index e))
-               | e -> `Compute (compile_scalar pctx index e))
-             proj)
-      in
-      let plans = make_plans ctx in
-      let apply plans b =
-        let cols =
-          Array.map
-            (function
-              | `Share pos -> Batch.col b pos
-              | `Compute f ->
-                  let a = Array.make b.Batch.nrows Value.Null in
-                  Batch.iter (fun i -> a.(i) <- f b i) b;
-                  Batch.V_any a)
-            plans
+      let project pctx =
+        let plans =
+          Array.of_list
+            (List.map
+               (fun ((_ : Xtra.col), e) ->
+                 match e with
+                 | Xtra.Col_ref c -> (
+                     match Hashtbl.find_opt index c.Xtra.id with
+                     | Some pos -> `Share pos
+                     | None -> `Compute (compile_scalar pctx index e))
+                 | e -> `Compute (compile_scalar pctx index e))
+               proj)
         in
-        Batch.of_cols cols ~nrows:b.Batch.nrows ~sel:b.Batch.sel
-          ~nsel:b.Batch.nsel
-      in
-      let seq_next () =
-        match iop.next () with
-        | None -> None
-        | Some b ->
-            bump "project";
-            Some (apply plans b)
-      in
-      match iop.par with
-      | Some isrc when ctx.Executor.domains > 1 ->
-          let src () =
-            let irun = isrc () in
-            {
-              irun with
-              pm_make =
-                (fun d ->
-                  let dplans = make_plans (Executor.clone_for_domain ctx) in
-                  let pull = irun.pm_make d in
-                  fun () ->
-                    match pull () with
-                    | None -> None
-                    | Some (k, b) ->
-                        let pb =
-                          try apply dplans b with
-                          | Morsel_error _ as e -> raise e
-                          | e -> raise (Morsel_error (k, e))
-                        in
-                        if Batch.num_rows pb > 0 then bump "project";
-                        Some (k, pb));
-              pm_tail =
-                (fun () ->
-                  List.map
-                    (fun b ->
-                      bump "project";
-                      apply plans b)
-                    (irun.pm_tail ()));
-            }
+        fun b ->
+          let cols =
+            Array.map
+              (function
+                | `Share pos -> Batch.col b pos
+                | `Compute f ->
+                    let a = Array.make b.Batch.nrows Value.Null in
+                    Batch.iter (fun i -> a.(i) <- f b i) b;
+                    Batch.V_any a)
+              plans
           in
-          op_of_region ctx schema ~seq_next src
-      | _ -> { schema; next = seq_next; par = None })
+          if Batch.num_rows b > 0 then bump "project";
+          Batch.of_cols cols ~nrows:b.Batch.nrows ~sel:b.Batch.sel
+            ~nsel:b.Batch.nsel
+      in
+      op_of_region ctx (Xtra.schema_of r)
+        (map_region ctx (region_of iop) project)
   | Xtra.Join { kind; left; right; pred } -> compile_join ctx r kind left right pred
   | Xtra.Aggregate { grouping_sets = Some _; _ } -> row_fallback ctx r
   | Xtra.Aggregate { input; group_by; aggs; grouping_sets = None } ->
@@ -1473,39 +1063,21 @@ and compile_node ctx (r : Xtra.rel) : op =
              (drain (compile ctx right))))
   | Xtra.Values_rel _ | Xtra.Cte_ref _ | Xtra.With_cte _ -> row_fallback ctx r
 
+(* Scan region: one morsel per [Batch.capacity]-row window, claimed off an
+   atomic cursor. *)
 and compile_get ctx (r : Xtra.rel) ?unbox () : op =
   match r with
   | Xtra.Get { table; table_schema; _ } ->
       let schema = Xtra.schema_of r in
       let tys = tys_of schema in
       let width = List.length table_schema in
-      let arr =
-        lazy
-          (let rows = Storage.scan_array ctx.Executor.storage table in
-           Array.iter
-             (fun (row : Executor.row) ->
-               if Array.length row <> width then
-                 Sql_error.internal_error "width mismatch scanning %s" table)
-             rows;
-           rows)
-      in
-      let pos = ref 0 in
-      let seq_next () =
-        let a = Lazy.force arr in
-        if !pos >= Array.length a then None
-        else begin
-          let n = min Batch.capacity (Array.length a - !pos) in
-          let b = Batch.of_rows ?unbox tys a !pos n in
-          pos := !pos + n;
-          bump "scan";
-          add c_scan_rows n;
-          Some b
-        end
-      in
-      (* Scan region: one morsel per [Batch.capacity]-row window — the same
-         windows the sequential path cuts — claimed off an atomic cursor. *)
       let src () =
-        let a = Lazy.force arr in
+        let a = Storage.scan_array ctx.Executor.storage table in
+        Array.iter
+          (fun (row : Executor.row) ->
+            if Array.length row <> width then
+              Sql_error.internal_error "width mismatch scanning %s" table)
+          a;
         let n = Array.length a in
         let total = (n + Batch.capacity - 1) / Batch.capacity in
         let cursor = Atomic.make 0 in
@@ -1523,10 +1095,10 @@ and compile_get ctx (r : Xtra.rel) ?unbox () : op =
                 add c_scan_rows len;
                 Some (k, b)
               end);
-          pm_tail = (fun () -> []);
+          pm_tail = Seq.empty;
         }
       in
-      op_of_region ctx schema ~seq_next src
+      op_of_region ctx schema src
   | _ -> Sql_error.internal_error "compile_get expects a Get node"
 
 (* Conjunct-at-a-time filtering: each AND-conjunct narrows the selection
@@ -1534,71 +1106,32 @@ and compile_get ctx (r : Xtra.rel) ?unbox () : op =
    expensive) conjuncts only see survivors, and conjuncts with a
    comparison kernel never box a value. Order is preserved — a row dropped
    by conjunct N never reaches conjunct N+1, matching the row path's
-   short-circuit. *)
+   short-circuit. A morsel that filters to zero rows stays in the region
+   (its sequence slot must be filled); {!op_of_region} skips it. *)
 and compile_filter ctx iop pred : op =
   let index = Executor.make_index iop.schema in
-  let conjs = make_conjs ctx index pred in
-  let seq_next () =
-    let rec loop () =
-      match iop.next () with
-      | None -> None
-      | Some b ->
-          apply_conjs conjs b;
-          if b.Batch.nsel = 0 then loop ()
-          else begin
-            bump "filter";
-            Some b
-          end
-    in
-    loop ()
+  let filter pctx =
+    let conjs = make_conjs pctx index pred in
+    fun b ->
+      apply_conjs conjs b;
+      if b.Batch.nsel > 0 then bump "filter";
+      b
   in
-  match iop.par with
-  | Some isrc when ctx.Executor.domains > 1 ->
-      (* Region composition: filter each input morsel in place on whichever
-         domain pulled it, with domain-private conjunct closures. Morsels
-         that filter to zero rows stay in the stream (their sequence slot
-         must be filled) and are skipped by the region driver. *)
-      let src () =
-        let irun = isrc () in
-        {
-          irun with
-          pm_make =
-            (fun d ->
-              let dctx = Executor.clone_for_domain ctx in
-              let dconjs = make_conjs dctx index pred in
-              let pull = irun.pm_make d in
-              fun () ->
-                match pull () with
-                | None -> None
-                | Some (k, b) ->
-                    (try apply_conjs dconjs b with
-                    | Morsel_error _ as e -> raise e
-                    | e -> raise (Morsel_error (k, e)));
-                    if b.Batch.nsel > 0 then bump "filter";
-                    Some (k, b));
-          pm_tail =
-            (fun () ->
-              List.filter_map
-                (fun b ->
-                  apply_conjs conjs b;
-                  if b.Batch.nsel = 0 then None
-                  else begin
-                    bump "filter";
-                    Some b
-                  end)
-                (irun.pm_tail ()));
-        }
-      in
-      op_of_region ctx iop.schema ~seq_next src
-  | _ -> { schema = iop.schema; next = seq_next; par = None }
+  op_of_region ctx iop.schema (map_region ctx (region_of iop) filter)
 
-(* Equi-hash-join on the radix-partitioned table. Build drains the right
-   side into a row store plus per-key duplicate chains
-   ([Hash_table.chains]);
-   probe streams left batches, hashing each key row once. NULL keys never
-   enter the table on either side — SQL equality can never match them — and
-   the table itself (join mode) asserts none slip through. Joins the batch
-   path does not cover (cross, residual conjuncts) fall back wholesale. *)
+(* Equi-hash-join. The build runs once, on the caller, when the region
+   starts: it drains the right input (whose own regions may run on every
+   domain) into a row store and evaluates the keys batch by batch, in row
+   order, so a failing key raises the error the row path would at any
+   domain count. Rows go into per-key duplicate chains
+   ([Hash_table.chains]); NULL keys never enter them — SQL equality can
+   never match a NULL — and the table itself (join mode) asserts none slip
+   through. The probe is the left input's region: each body probes whole
+   left morsels against the read-only chains with its own key closures and
+   residual frames. Outer-join [matched] flags are idempotent writes the
+   run barrier publishes; the unmatched-right sweep runs in the tail, after
+   every probe. Joins the batch path does not cover (cross, no equality
+   conjunct) fall back wholesale. *)
 and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
   let lschema = Xtra.schema_of left and rschema = Xtra.schema_of right in
   let lids = List.map (fun (c : Xtra.col) -> c.Xtra.id) lschema in
@@ -1613,58 +1146,23 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
   if not vectorizable then row_fallback ctx jnode
   else begin
     let lop = compile ctx left and rop = compile ctx right in
-    match lop.par with
-    | Some lsrc when ctx.Executor.domains > 1 ->
-        compile_join_par ctx jnode kind lop lsrc rop equi residual
-    | _ ->
     let lindex = Executor.make_index lop.schema in
     let rindex = Executor.make_index rop.schema in
-    (* Residual conjuncts check each candidate pair on the row path, exactly
-       as the row interpreter does: a pair joins only when every residual is
-       [Some true]; a probe row none of whose candidates survive counts as
-       unmatched for outer-join purposes. *)
-    let lframe = { Executor.index = lindex; row = [||] } in
-    let rframe = { Executor.index = rindex; row = [||] } in
-    let residual_ok lrow rrow =
-      residual = []
-      || begin
-           lframe.Executor.row <- lrow;
-           rframe.Executor.row <- rrow;
-           Executor.push_frame ctx lframe;
-           Executor.push_frame ctx rframe;
-           let ok =
-             List.for_all
-               (fun c ->
-                 Scalar_func.bool3_of_value (Executor.eval ctx c) = Some true)
-               residual
-           in
-           Executor.pop_frame ctx;
-           Executor.pop_frame ctx;
-           ok
-         end
-    in
-    let lkey_fs =
-      Array.of_list (List.map (fun (a, _) -> compile_scalar ctx lindex a) equi)
-    in
-    let rkey_fs =
-      Array.of_list (List.map (fun (_, b) -> compile_scalar ctx rindex b) equi)
-    in
     let schema = Xtra.schema_of jnode in
     let tys = tys_of schema in
-    let rwidth = List.length rschema and lwidth = List.length lschema in
-    let null_right = Array.make rwidth Value.Null in
-    let null_left = Array.make lwidth Value.Null in
-    let keep_left =
-      kind = Xtra.Left_outer || kind = Xtra.Full_outer
-    in
-    let keep_right =
-      kind = Xtra.Right_outer || kind = Xtra.Full_outer
-    in
+    let null_right = Array.make (List.length rschema) Value.Null in
+    let null_left = Array.make (List.length lschema) Value.Null in
+    let keep_left = kind = Xtra.Left_outer || kind = Xtra.Full_outer in
+    let keep_right = kind = Xtra.Right_outer || kind = Xtra.Full_outer in
     let chains = Hash_table.create_chains () in
     let rrows : Executor.row Vec.t = Vec.create [||] in
     let matched = ref [||] in
-    let built = ref false in
     let build () =
+      let t0 = Unix.gettimeofday () in
+      let rkey_fs =
+        Array.of_list
+          (List.map (fun (_, b) -> compile_scalar ctx rindex b) equi)
+      in
       let rec go () =
         match rop.next () with
         | None -> ()
@@ -1680,166 +1178,202 @@ and compile_join ctx (jnode : Xtra.rel) kind left right pred : op =
       in
       go ();
       add c_join_build_rows (Vec.length rrows);
-      if keep_right then matched := Array.make (Vec.length rrows) false
+      if keep_right then matched := Array.make (Vec.length rrows) false;
+      if dbg_enabled () then
+        Printf.eprintf "      join build: %.2f ms (%d rows)\n"
+          (1000. *. (Unix.gettimeofday () -. t0))
+          (Vec.length rrows)
     in
-    (* output rows buffered between pulls: one probe batch can produce more
-       than [Batch.capacity] matches *)
-    let buf : Executor.row Vec.t = Vec.create [||] in
-    let emit_pos = ref 0 in
-    let exhausted = ref false in
-    let probe_batch lb =
-      add c_join_probe_rows (Batch.num_rows lb);
-      Batch.iter
-        (fun i ->
-          let key = Array.map (fun f -> f lb i) lkey_fs in
-          let first =
-            if Array.exists Value.is_null key then -1
-            else Hash_table.first_item chains key
-          in
-          if first < 0 then begin
-            if keep_left then
-              ignore (Vec.push buf (Array.append (Batch.to_row lb i) null_right))
-          end
-          else begin
-            let lrow = Batch.to_row lb i in
-            let any = ref false in
-            let j = ref first in
-            while !j >= 0 do
-              let rrow = Vec.get rrows !j in
-              if residual_ok lrow rrow then begin
-                any := true;
-                if keep_right then !matched.(!j) <- true;
-                ignore (Vec.push buf (Array.append lrow rrow))
-              end;
-              j := Hash_table.next_item chains !j
-            done;
-            if (not !any) && keep_left then
-              ignore (Vec.push buf (Array.append lrow null_right))
-          end)
-        lb
+    let batch_of_buf (buf : Executor.row Vec.t) =
+      if Vec.length buf > 0 then bump "join";
+      Batch.of_rows tys buf.Vec.data 0 (Vec.length buf)
     in
-    let emit_tail_right () =
-      if keep_right then
-        for j = 0 to Vec.length rrows - 1 do
-          if not !matched.(j) then
-            ignore (Vec.push buf (Array.append null_left (Vec.get rrows j)))
-        done
+    (* One output batch per probe batch, possibly larger than
+       [Batch.capacity]: downstream operators size off [nrows]. Residual
+       conjuncts check each candidate pair on the row path, exactly as the
+       row interpreter does: a pair joins only when every residual is
+       [Some true]; a probe row none of whose candidates survive counts as
+       unmatched for outer-join purposes. *)
+    let probe pctx =
+      let lkey_fs =
+        Array.of_list
+          (List.map (fun (a, _) -> compile_scalar pctx lindex a) equi)
+      in
+      let lframe = { Executor.index = lindex; row = [||] } in
+      let rframe = { Executor.index = rindex; row = [||] } in
+      let residual_ok lrow rrow =
+        residual = []
+        || begin
+             lframe.Executor.row <- lrow;
+             rframe.Executor.row <- rrow;
+             Executor.push_frame pctx lframe;
+             Executor.push_frame pctx rframe;
+             let ok =
+               List.for_all
+                 (fun c ->
+                   Scalar_func.bool3_of_value (Executor.eval pctx c) = Some true)
+                 residual
+             in
+             Executor.pop_frame pctx;
+             Executor.pop_frame pctx;
+             ok
+           end
+      in
+      fun lb ->
+        add c_join_probe_rows (Batch.num_rows lb);
+        let buf : Executor.row Vec.t = Vec.create [||] in
+        Batch.iter
+          (fun i ->
+            let key = Array.map (fun f -> f lb i) lkey_fs in
+            let first =
+              if Array.exists Value.is_null key then -1
+              else Hash_table.first_item chains key
+            in
+            if first < 0 then begin
+              if keep_left then
+                ignore
+                  (Vec.push buf (Array.append (Batch.to_row lb i) null_right))
+            end
+            else begin
+              let lrow = Batch.to_row lb i in
+              let any = ref false in
+              let j = ref first in
+              while !j >= 0 do
+                let rrow = Vec.get rrows !j in
+                if residual_ok lrow rrow then begin
+                  any := true;
+                  if keep_right then !matched.(!j) <- true;
+                  ignore (Vec.push buf (Array.append lrow rrow))
+                end;
+                j := Hash_table.next_item chains !j
+              done;
+              if (not !any) && keep_left then
+                ignore (Vec.push buf (Array.append lrow null_right))
+            end)
+          lb;
+        batch_of_buf buf
     in
-    let emit_slice () =
-      let n = min Batch.capacity (Vec.length buf - !emit_pos) in
-      (* copy the row POINTERS out: batches share rows with their source
-         window, so the buffer must not be recycled underneath them *)
-      let rows = Array.sub buf.Vec.data !emit_pos n in
-      let b = Batch.of_rows tys rows 0 n in
-      emit_pos := !emit_pos + n;
-      if !emit_pos >= Vec.length buf then begin
-        (* fully drained: recycle the buffer *)
-        buf.Vec.len <- 0;
-        emit_pos := 0
-      end;
-      bump "join";
-      Some b
+    let unmatched_right () =
+      let buf : Executor.row Vec.t = Vec.create [||] in
+      Array.iteri
+        (fun j m ->
+          if not m then
+            ignore (Vec.push buf (Array.append null_left (Vec.get rrows j))))
+        !matched;
+      Seq.Cons (batch_of_buf buf, Seq.empty)
     in
-    {
-      schema;
-      next =
-        (fun () ->
-          if not !built then begin
-            let t0 = Unix.gettimeofday () in
-            build ();
-            if dbg_enabled () then
-              Printf.eprintf "      join build: %.2f ms (%d rows)\n"
-                (1000. *. (Unix.gettimeofday () -. t0))
-                (Vec.length rrows);
-            built := true
-          end;
-          let rec loop () =
-            if Vec.length buf - !emit_pos >= Batch.capacity then emit_slice ()
-            else if !exhausted then
-              if Vec.length buf - !emit_pos > 0 then emit_slice () else None
-            else
-              match lop.next () with
-              | Some lb ->
-                  probe_batch lb;
-                  loop ()
-              | None ->
-                  emit_tail_right ();
-                  exhausted := true;
-                  loop ()
-          in
-          loop ());
-      par = None;
-    }
+    op_of_region ctx schema (fun () ->
+        build ();
+        let run = map_region ctx (region_of lop) probe () in
+        if keep_right then
+          { run with pm_tail = Seq.append run.pm_tail unmatched_right }
+        else run)
   end
 
-(* Hash aggregation over the same table: keys hash once per row, groups keep
-   O(1) incremental accumulators instead of retained row lists, and output
-   preserves first-seen group order like the row path. *)
+(* Two-phase hash aggregation: each body folds its morsels into a private
+   partial (a hash table of per-group accumulators, each group tagged with
+   its first (morsel, position)), the tail folds into partial 0, and after
+   the barrier partials 1.. merge into partial 0 in body order. Groups come
+   out sorted by tag: first-seen order over the row stream, as the row path
+   emits them. A merge is exact only for [par_safe_aggs]; any other
+   aggregate reads its input as one stream (the input's [next], which still
+   runs the input's own region on every domain), so it has no morsels, one
+   body and one partial, and folds in row order. A global aggregate is the
+   one group of the empty key, emitted even over no rows. *)
 and compile_agg ctx (anode : Xtra.rel) input group_by aggs : op =
   let schema = Xtra.schema_of anode in
   let aggs_a = Array.of_list (List.map snd aggs) in
   let iop = compile ctx input in
-  match iop.par with
-  | Some isrc when ctx.Executor.domains > 1 && par_safe_aggs aggs ->
-      compile_agg_par ctx schema iop.schema isrc group_by aggs_a
-  | _ ->
-      let rows =
-        lazy
-          (let index = Executor.make_index iop.schema in
-           let key_fs =
-             Array.of_list
-               (List.map
-                  (fun ((_ : Xtra.col), e) -> compile_scalar ctx index e)
-                  group_by)
+  let index = Executor.make_index iop.schema in
+  let rows =
+    lazy
+      (let run =
+         region_of
+           (if par_safe_aggs aggs then iop else { iop with par = None })
+           ()
+       in
+       let nd = max 1 (min ctx.Executor.domains run.pm_total) in
+       let partials =
+         Array.init nd (fun _ ->
+             ( Hash_table.create ~null_equal:true 64,
+               (Vec.create [||] : agg_acc array Vec.t),
+               Vec.create 0 ))
+       in
+       let stride = 1 lsl 40 in
+       let fold pctx slot =
+         let ht, gaccs, firsts = partials.(slot) in
+         let key_fs =
+           Array.of_list
+             (List.map
+                (fun ((_ : Xtra.col), e) -> compile_scalar pctx index e)
+                group_by)
+         in
+         let arg_fs =
+           Array.map
+             (fun (a : Xtra.agg_def) ->
+               Option.map (compile_scalar pctx index) a.Xtra.aarg)
+             aggs_a
+         in
+         fun k b ->
+           let pos = ref 0 in
+           Batch.iter
+             (fun i ->
+               let key = Array.map (fun f -> f b i) key_fs in
+               let e, inserted =
+                 Hash_table.find_or_insert ht key (Hash_table.hash_key key)
+               in
+               if inserted then begin
+                 ignore
+                   (Vec.push gaccs (Array.map (fun _ -> new_acc ()) aggs_a));
+                 ignore (Vec.push firsts ((k * stride) + !pos))
+               end;
+               agg_update aggs_a arg_fs (Vec.get gaccs e) b i;
+               incr pos)
+             b
+       in
+       run_morsels nd run (fun d -> fold (Executor.clone_for_domain ctx) d);
+       let fold_tail = fold ctx 0 in
+       Seq.iteri (fun i b -> fold_tail (run.pm_total + i) b) run.pm_tail;
+       let ht, gaccs, firsts = partials.(0) in
+       for s = 1 to nd - 1 do
+         let sht, sgaccs, sfirsts = partials.(s) in
+         for g = 0 to Hash_table.count sht - 1 do
+           let key = Hash_table.entry_key sht g in
+           let e, inserted =
+             Hash_table.find_or_insert ht key (Hash_table.hash_key key)
            in
-           let arg_fs =
-             Array.map
-               (fun (a : Xtra.agg_def) ->
-                 Option.map (compile_scalar ctx index) a.Xtra.aarg)
-               aggs_a
-           in
-           if group_by = [] then begin
-             (* global aggregate: exactly one output row *)
-             let accs = Array.map (fun _ -> new_acc ()) aggs_a in
-             let rec go () =
-               match iop.next () with
-               | None -> ()
-               | Some b ->
-                   Batch.iter (fun i -> agg_update aggs_a arg_fs accs b i) b;
-                   go ()
-             in
-             go ();
-             [ Array.of_list (agg_finalized aggs_a accs) ]
+           if inserted then begin
+             ignore (Vec.push gaccs (Vec.get sgaccs g));
+             ignore (Vec.push firsts (Vec.get sfirsts g))
            end
            else begin
-             let ht = Hash_table.create ~null_equal:true 256 in
-             let gaccs : agg_acc array Vec.t = Vec.create [||] in
-             let rec go () =
-               match iop.next () with
-               | None -> ()
-               | Some b ->
-                   Batch.iter
-                     (fun i ->
-                       let key = Array.map (fun f -> f b i) key_fs in
-                       let h = Hash_table.hash_key key in
-                       let e, inserted = Hash_table.find_or_insert ht key h in
-                       if inserted then
-                         ignore
-                           (Vec.push gaccs
-                              (Array.map (fun _ -> new_acc ()) aggs_a));
-                       agg_update aggs_a arg_fs (Vec.get gaccs e) b i)
-                     b;
-                   go ()
-             in
-             go ();
-             add c_agg_groups (Hash_table.count ht);
-             List.init (Hash_table.count ht) (fun g ->
-                 Array.append
-                   (Hash_table.entry_key ht g)
-                   (Array.of_list (agg_finalized aggs_a (Vec.get gaccs g))))
-           end)
-      in
-      op_of_lazy_rows "aggregate" schema rows
+             merge_accs aggs_a (Vec.get gaccs e) (Vec.get sgaccs g);
+             if Vec.get sfirsts g < Vec.get firsts e then
+               Vec.set firsts e (Vec.get sfirsts g)
+           end
+         done
+       done;
+       let n = Hash_table.count ht in
+       add c_agg_groups n;
+       if n = 0 && group_by = [] then
+         [
+           Array.of_list
+             (agg_finalized aggs_a (Array.map (fun _ -> new_acc ()) aggs_a));
+         ]
+       else begin
+         let order = Array.init n Fun.id in
+         Array.stable_sort
+           (fun a b -> Int.compare (Vec.get firsts a) (Vec.get firsts b))
+           order;
+         Array.to_list
+           (Array.map
+              (fun g ->
+                Array.append (Hash_table.entry_key ht g)
+                  (Array.of_list (agg_finalized aggs_a (Vec.get gaccs g))))
+              order)
+       end)
+  in
+  op_of_lazy_rows "aggregate" schema rows
 
 (* --- entry point -------------------------------------------------------- *)
 

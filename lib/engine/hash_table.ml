@@ -74,12 +74,6 @@ let mix h =
   let h = h * 0x9E3779B97F4A7C1 in
   h lxor (h lsr 29)
 
-(* Stable partition selector, exposed so a parallel join build can bucket
-   rows by partition BEFORE inserting: rows of one partition go to one
-   worker (partition-per-worker build), and a probe recomputes the same
-   selector to find the right per-partition table. *)
-let num_partitions = num_parts
-let partition_of_hash h = (mix h lsr 55) land (num_parts - 1)
 let part_of t mixed = t.parts.((mixed lsr 55) land (num_parts - 1))
 let tag_of mixed = Char.unsafe_chr (((mixed lsr 45) land 0x7f) lor 0x80)
 
@@ -176,9 +170,11 @@ let find t key h =
 (* --- equi-join build: one chain of items per distinct key ------------ *)
 
 (* A join-mode table whose entries each head a chain of the items (row
-   numbers) added under that key, newest first. The sequential hash join
-   and the DML matcher build on it. Callers never add an item whose key
-   holds a NULL: such a key can match nothing. *)
+   numbers) added under that key, newest first. The batch hash join and the
+   DML matcher build on it. Callers never add an item whose key holds a
+   NULL: such a key can match nothing. Built by one domain; once built,
+   [first_item] and [next_item] only read it, so any number of domains may
+   probe it at once. *)
 type chains = {
   table : t;
   mutable heads : int array;  (** entry -> newest item under its key *)

@@ -461,16 +461,19 @@ and build ctx (r : Xtra.rel) : block =
         Printf.sprintf "(%s)"
           (String.concat ", " (List.map (render_scalar ctx tmp) row))
       in
-      let names = List.map (fun (c : Xtra.col) -> c.Xtra.name) values_schema in
+      (* derived column names must be unique: a pruned join keeps both
+         sides' columns, which may share a name *)
+      let names = output_aliases values_schema in
       b.b_from <-
         Printf.sprintf "(VALUES %s) AS %s (%s)"
           (String.concat ", " (List.map row_sql rows))
-          alias (String.concat ", " names);
+          alias
+          (String.concat ", " (List.map snd names));
       b.b_schema <- values_schema;
       b.b_map <-
         List.map
-          (fun (c : Xtra.col) -> (c.Xtra.id, Printf.sprintf "%s.%s" alias c.Xtra.name))
-          values_schema;
+          (fun ((c : Xtra.col), a) -> (c.Xtra.id, Printf.sprintf "%s.%s" alias a))
+          names;
       b
   | Xtra.Filter { input; pred } ->
       let b = build ctx input in

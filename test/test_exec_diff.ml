@@ -131,6 +131,87 @@ let test_customer_differential () =
         0 (diff_corpus p queries))
     (Customer.all ())
 
+(* --- every operator shape through the one region implementation -------- *)
+
+(* Joins whose left input has no morsel region (an aggregate, DISTINCT, TOP)
+   probe in the region tail, and outer joins add the unmatched-right sweep
+   after it; FLOAT sums and DISTINCT aggregates fold as one partial in row
+   order; a global aggregate over no rows still returns its one row. FT has
+   5000 rows, so its scans span three morsels. F is 1e16 in the first row of
+   each G group and -1e16 in the last, small in between: folded in row order
+   the small values vanish into the large one, so a sum folded in any other
+   order differs in the printed digits. *)
+let shapes_setup =
+  let values rows = String.concat ", " rows in
+  [
+    "CREATE TABLE FT (ID INTEGER, K INTEGER, G INTEGER, F FLOAT, Z INTEGER)";
+    "CREATE TABLE DT (K INTEGER, W VARCHAR(5))";
+    "INSERT INTO FT (ID, K, G, F, Z) VALUES "
+    ^ values
+        (List.init 5000 (fun i ->
+             Printf.sprintf "(%d, %d, %d, %s, %d)" i (i mod 700) (i mod 7)
+               (if i < 7 then "1.0E16"
+                else if i >= 4993 then "-1.0E16"
+                else Printf.sprintf "%d.25" (i mod 3))
+               (1 + (i mod 5))));
+    "INSERT INTO DT (K, W) VALUES "
+    ^ values
+        (List.init 900 (fun i ->
+             Printf.sprintf "(%s, 'w%d')"
+               (if i mod 41 = 0 then "NULL" else string_of_int (i * 3 mod 1000))
+               (i mod 5)));
+  ]
+
+let shapes_queries =
+  [
+    ( "left is an aggregate",
+      "SEL D.K, D.S, T.W FROM (SEL K, SUM(Z) AS S FROM FT GROUP BY K) D JOIN \
+       DT T ON D.K = T.K" );
+    ( "left is DISTINCT",
+      "SEL D.K, T.W FROM (SEL DISTINCT K FROM FT) D JOIN DT T ON D.K = T.K" );
+    ( "left is TOP",
+      "SEL D.ID, T.W FROM (SEL TOP 300 ID, K FROM FT ORDER BY ID DESC) D JOIN \
+       DT T ON D.K = T.K" );
+    ( "right outer, left an aggregate",
+      "SEL D.K, D.C, T.K, T.W FROM (SEL K, COUNT(*) AS C FROM FT WHERE G = 1 \
+       GROUP BY K) D RIGHT OUTER JOIN DT T ON D.K = T.K" );
+    ( "full outer with residual, left an aggregate",
+      "SEL D.K, D.C, T.K, T.W FROM (SEL K, COUNT(*) AS C FROM FT GROUP BY K) \
+       D FULL OUTER JOIN DT T ON D.K = T.K AND D.C > 7" );
+    ( "full outer, left a scan",
+      "SEL F1.ID, T.K, T.W FROM FT F1 FULL OUTER JOIN DT T ON F1.K = T.K AND \
+       F1.G = 2" );
+    ( "right outer, left TOP",
+      "SEL D.ID, T.W FROM (SEL TOP 40 ID, K FROM FT ORDER BY ID) D RIGHT \
+       OUTER JOIN DT T ON D.K = T.K" );
+    ( "FLOAT sum/avg over a scan",
+      "SEL G, SUM(F), AVG(F), COUNT(*) FROM FT GROUP BY G" );
+    ("global FLOAT sum/avg", "SEL SUM(F), AVG(F) FROM FT");
+    ( "FLOAT sum/avg over a join",
+      "SEL T.W, SUM(F1.F), AVG(F1.F) FROM FT F1 JOIN DT T ON F1.K = T.K GROUP \
+       BY T.W" );
+    ( "COUNT(DISTINCT) over a scan",
+      "SEL G, COUNT(DISTINCT K), COUNT(DISTINCT ID / 4) FROM FT GROUP BY G" );
+    ( "global COUNT(DISTINCT)",
+      "SEL COUNT(DISTINCT K), COUNT(DISTINCT ID / 4) FROM FT" );
+    ( "COUNT(DISTINCT) over a join",
+      "SEL T.W, COUNT(DISTINCT F1.ID / 4), SUM(F1.Z) FROM FT F1 JOIN DT T ON \
+       F1.K = T.K GROUP BY T.W" );
+    ( "global aggregate over no rows",
+      "SEL COUNT(*), SUM(F), MIN(K) FROM FT WHERE K < 0" );
+    ( "grouped aggregate over no rows",
+      "SEL G, COUNT(*) FROM FT WHERE K < 0 GROUP BY G" );
+    ( "filter over an aggregate",
+      "SEL G, SUM(Z) FROM FT GROUP BY G HAVING SUM(Z) > 2140" );
+    ( "division by zero in a build-side key",
+      "SEL T.W FROM DT T JOIN FT F1 ON T.K = 10 / (F1.Z - 1)" );
+  ]
+
+let test_shapes_differential () =
+  let p = Pipeline.create () in
+  List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) shapes_setup;
+  check ib "shape mismatches" 0 (diff_corpus p shapes_queries)
+
 (* --- NULL semantics: join keys vs grouping ----------------------------- *)
 
 let null_fixture () =
@@ -536,17 +617,30 @@ let test_morsel_error_propagation () =
   in
   ignore (run ("INSERT INTO BIG (ID, V) VALUES " ^ values));
   be.Backend.exec_mode <- Backend.Batch;
-  let err d =
+  let err sql d =
     be.Backend.exec_domains <- d;
-    match
-      Sql_error.protect (fun () -> run "SELECT 10 / B.V FROM BIG AS B")
-    with
+    match Sql_error.protect (fun () -> run sql) with
     | Ok _ -> Alcotest.fail "expected a division-by-zero error"
     | Error e -> Sql_error.to_string e
   in
-  let e1 = err 1 in
-  let e4 = err 4 in
+  let e1 = err "SELECT 10 / B.V FROM BIG AS B" 1 in
+  let e4 = err "SELECT 10 / B.V FROM BIG AS B" 4 in
   Alcotest.(check string) "same error at 1 and 4 domains" e1 e4;
+  (* a failing join key, on the build side (evaluated on the caller as the
+     build drains) and on the probe side (in the probe morsels) *)
+  ignore (run "CREATE TABLE SMALL (ID INTEGER)");
+  ignore (run "INSERT INTO SMALL (ID) VALUES (1), (2), (10)");
+  List.iter
+    (fun sql ->
+      let e1 = err sql 1 in
+      Alcotest.(check string) ("division by zero: " ^ sql) "division by zero"
+        (String.sub e1 (String.length e1 - 16) 16);
+      Alcotest.(check string) ("same error at 1 and 4 domains: " ^ sql) e1
+        (err sql 4))
+    [
+      "SELECT S.ID FROM SMALL AS S JOIN BIG AS B ON S.ID = 10 / B.V";
+      "SELECT S.ID FROM BIG AS B JOIN SMALL AS S ON 10 / B.V = S.ID";
+    ];
   (* pool survived the in-morsel exception: the next parallel statement
      runs to completion with correct results *)
   be.Backend.exec_domains <- 4;
@@ -598,6 +692,7 @@ let suite =
   [
     ("tpch row/batch differential", `Slow, test_tpch_differential);
     ("customer row/batch differential", `Slow, test_customer_differential);
+    ("operator shapes row/batch differential", `Quick, test_shapes_differential);
     ("null join keys never match", `Quick, test_null_join_keys_never_match);
     ("null group keys coalesce", `Quick, test_null_group_keys_coalesce);
     ("dml row/batch differential", `Quick, test_dml_differential);

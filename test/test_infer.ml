@@ -248,6 +248,66 @@ let test_outer_join_cardinality () =
     ((Infer.rel_props (Xtra.Join { kind = Xtra.Cross; left = huge 1; right = huge 2; pred = None }))
        .Infer.card_max = None)
 
+(* TOP n WITH TIES also returns every row tied with the n-th, and TOP n
+   PERCENT counts a share of the input: neither is bounded by n. The claim
+   on the bound plan must hold on the rows the pipeline returns. *)
+let test_limit_ties_percent_cardinality () =
+  let module Binder = Hyperq_binder.Binder in
+  let module Parser = Hyperq_sqlparser.Parser in
+  let module Dialect = Hyperq_sqlparser.Dialect in
+  let p = Pipeline.create () in
+  ignore (Pipeline.run_sql p "CREATE TABLE TT (K INTEGER, V INTEGER)");
+  ignore
+    (Pipeline.run_sql p
+       ("INSERT INTO TT (K, V) VALUES "
+       ^ String.concat ", "
+           (List.init 200 (fun i ->
+                Printf.sprintf "(%d, %d)" i (if i < 3 then 0 else i)))));
+  List.iter
+    (fun (sql, rows) ->
+      let rel =
+        match
+          Binder.bind_statement
+            (Binder.create_ctx ~dialect:Dialect.Teradata p.Pipeline.vcatalog)
+            (Parser.parse_statement ~dialect:Dialect.Teradata sql)
+        with
+        | Xtra.Query r -> r
+        | _ -> Alcotest.failf "not a query: %s" sql
+      in
+      let actual = (Pipeline.run_sql p sql).Pipeline.out_count in
+      check ib ("rows: " ^ sql) rows actual;
+      match (Infer.rel_props rel).Infer.card_max with
+      | Some m ->
+          check bb
+            (Printf.sprintf "%s: %d rows within card_max %d" sql actual m)
+            true (actual <= m)
+      | None -> ())
+    [
+      ("SEL TOP 1 WITH TIES K FROM TT ORDER BY V", 3);
+      ("SEL TOP 10 PERCENT K FROM TT ORDER BY K", 20);
+      ("SEL TOP 2 K FROM TT ORDER BY K", 2);
+    ];
+  (* a plain TOP keeps its bound *)
+  let top n ~with_ties ~percent =
+    Xtra.Limit
+      {
+        input = get_t;
+        count = Some (ci n);
+        offset = None;
+        with_ties;
+        percent;
+      }
+  in
+  check bb "TOP 2 bound" true
+    ((Infer.rel_props (top 2 ~with_ties:false ~percent:false)).Infer.card_max
+    = Some 2);
+  check bb "TOP 2 WITH TIES unbounded" true
+    ((Infer.rel_props (top 2 ~with_ties:true ~percent:false)).Infer.card_max
+    = None);
+  check bb "TOP 2 PERCENT unbounded" true
+    ((Infer.rel_props (top 2 ~with_ties:false ~percent:true)).Infer.card_max
+    = None)
+
 let test_filter_refinement () =
   (* WHERE A > 5 narrows A's interval and makes it not-null downstream *)
   let a = col 1 "A" Dtype.Int in
@@ -588,6 +648,8 @@ let suite =
     Alcotest.test_case "rel props: cardinality" `Quick test_rel_cardinality;
     Alcotest.test_case "rel props: outer-join cardinality" `Quick
       test_outer_join_cardinality;
+    Alcotest.test_case "rel props: TOP WITH TIES / PERCENT cardinality" `Quick
+      test_limit_ties_percent_cardinality;
     Alcotest.test_case "filter refinement + 3VL truth" `Quick test_filter_refinement;
     Alcotest.test_case "pass: contradiction pruning" `Quick test_contradiction_pruning;
     Alcotest.test_case "pass: join strengthening" `Quick test_join_strengthening;

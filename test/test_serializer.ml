@@ -217,6 +217,40 @@ let test_values_rendering () =
     | Ok _ -> true
     | Error _ -> false)
 
+(* Contradiction pruning replaces [a, b WHERE a.id = 1 AND a.id = 2] by a
+   constant-empty VALUES carrying both sides' columns, two of them named ID.
+   Its derived column list must not repeat a name (a strict target rejects
+   [AS T1 (ID, ID)], and [T1.ID] would be ambiguous), and the SQL must
+   re-parse and execute to no rows. *)
+let test_pruned_values_unique_names () =
+  let module Pipeline = Hyperq_core.Pipeline in
+  let p = Pipeline.create () in
+  ignore (Pipeline.run_sql p "CREATE TABLE a (id INTEGER)");
+  ignore (Pipeline.run_sql p "CREATE TABLE b (id INTEGER)");
+  let src = "SELECT * FROM a, b WHERE a.id = 1 AND a.id = 2" in
+  let sql = Pipeline.translate p src in
+  let find_from i needle =
+    let nl = String.length needle in
+    let rec go i =
+      if i + nl > String.length sql then Alcotest.failf "%S not in %s" needle sql
+      else if String.sub sql i nl = needle then i
+      else go (i + 1)
+    in
+    go i
+  in
+  let lo = find_from (find_from (find_from 0 "(VALUES") ") AS ") " (" + 2 in
+  let names =
+    String.split_on_char ',' (String.sub sql lo (find_from lo ")" - lo))
+    |> List.map String.trim
+  in
+  check (Alcotest.list sb) ("derived columns of " ^ sql) [ "ID_1"; "ID_2" ] names;
+  check bb "no repeated derived name" true
+    (List.length (List.sort_uniq compare names) = List.length names);
+  (match Sql_error.protect (fun () -> Backend.execute_sql p.Pipeline.backend sql) with
+  | Ok r -> check Alcotest.int ("re-executes to no rows: " ^ sql) 0 r.Backend.res_rowcount
+  | Error e -> Alcotest.failf "%s\n  failed: %s" sql (Sql_error.to_string e));
+  check Alcotest.int "pipeline returns no rows" 0 (Pipeline.run_sql p src).Pipeline.out_count
+
 let suite =
   [
     ("round-trip executes on the engine", `Quick, test_roundtrip_executes);
@@ -229,4 +263,5 @@ let suite =
     ("DML serialization", `Quick, test_insert_update_delete_serialization);
     ("explicit NULLS ordering", `Quick, test_nulls_ordering_emission);
     ("derived table rendering", `Quick, test_values_rendering);
+    ("pruned VALUES: unique derived names", `Quick, test_pruned_values_unique_names);
   ]
